@@ -200,6 +200,8 @@ def cmd_factor(args) -> int:
     else:
         with open(args.matrix, encoding="utf-8") as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("matrix JSON must be an object with entries a, b, d")
     names: dict = {}
     entries = {}
     for key in ("a", "b", "d"):
@@ -295,6 +297,7 @@ def main(argv=None) -> int:
         ValueError,
         OSError,
         json.JSONDecodeError,
+        RecursionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,8 +49,6 @@ class EncMatrix:
 class SymbolicRing:
     """Coefficients are exact integer polynomials."""
 
-    kind = "symbolic"
-
     def var(self, v: VarId) -> MPoly:
         return MPoly.var(v)
 
@@ -66,8 +64,6 @@ class SymbolicRing:
 
 class FieldRing:
     """Coefficients are field elements under a fixed variable assignment."""
-
-    kind = "field"
 
     def __init__(self, field: PrimeField, values: Mapping[VarId, FieldElem]):
         self.field = field

@@ -16,8 +16,9 @@ limitation").
 A fingerprint extends the encoding with one helper matrix per tracked
 arity-0 symbol x: the sum of the path products leading to the x-leaves
 (the identity for the single-node formula x, the zero matrix when x does
-not occur).  The helpers are exactly what makes modus ponens and
-substitution computable on encodings without seeing the formulas.
+not occur).  Modus ponens reads no helper and substituting x reads only
+the helper of x, so a proof replay tracks exactly the variables that some
+subst step replaces, and no helper at all for a proof without substitution.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .encmat import EncMatrix, elem, elem_inv_mul, identity, zero_matrix
-from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
+from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature, instantiate_axiom
 from .mpoly import VarId
 
 
@@ -120,10 +121,7 @@ class Fingerprint:
 
 def encode(f: Formula, alloc: VarAllocation, ring) -> EncMatrix:
     """The matrix of a formula tree."""
-    result = elem(alloc.vid(f.root, 0), ring)
-    for slot, child in enumerate(f.children, 1):
-        result = result + elem(alloc.vid(f.root, slot), ring) * encode(child, alloc, ring)
-    return result
+    return encode_fingerprint(f, alloc, ring, ()).main
 
 
 def encode_fingerprint(
@@ -207,8 +205,6 @@ def axiom_fingerprint(
     scheme, binding: Dict[str, Formula], alloc: VarAllocation, ring, tracked: Iterable[str]
 ) -> Fingerprint:
     """Direct encoding of an instantiated axiom scheme."""
-    from .logic import instantiate_axiom
-
     return encode_fingerprint(instantiate_axiom(scheme, binding), alloc, ring, tracked)
 
 

@@ -121,11 +121,6 @@ def node_count(f: Formula) -> int:
     return 1 + sum(node_count(c) for c in f.children)
 
 
-def formula_depth(f: Formula) -> int:
-    """Number of nodes on the longest root-to-leaf path."""
-    return 1 + max((formula_depth(c) for c in f.children), default=0)
-
-
 def occurrences(f: Formula, name: str) -> int:
     if not f.children:
         return 1 if f.root == name else 0
@@ -168,20 +163,11 @@ class Signature:
             raise UnknownSymbol(f"unknown symbol {name!r}")
         return self._arity[name]
 
-    def kind(self, name: str) -> str:
-        a = self.arity(name)
-        if name in (IMPLIES, NOT):
-            return "connective"
-        return "variable" if a == 0 else "function"
-
     def symbols(self) -> List[Tuple[str, int]]:
         """User-declared symbols (builtins excluded), sorted by name."""
         return sorted(
             (n, a) for n, a in self._arity.items() if n not in (IMPLIES, NOT)
         )
-
-    def variables(self) -> List[str]:
-        return [n for n, a in self.symbols() if a == 0]
 
 
 # -- formula parsing ---------------------------------------------------------

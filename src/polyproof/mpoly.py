@@ -130,9 +130,6 @@ class MPoly:
             return -1
         return max(sum(e for _, e in m) for m in self._terms)
 
-    def variables(self) -> set:
-        return {v for m in self._terms for v, _ in m}
-
     def single_monomial(self):
         """(monomial, coefficient) when the polynomial has one term, else None."""
         if len(self._terms) != 1:

@@ -158,7 +158,6 @@ class Transcript:
     d_bound: int
     epsilon: Fraction
     runs: List[Run]
-    alloc: VarAllocation
 
     @property
     def verdict(self) -> str:
@@ -213,17 +212,12 @@ class SymbolicReport:
 
 
 def tracked_atoms(script: ProofScript) -> List[str]:
-    """All arity-0 symbols appearing in the script's formulas."""
-    names = set(atoms_of(script.goal))
-    for step in script.steps:
-        if isinstance(step, AxiomStep):
-            for f in step.binding.values():
-                names |= atoms_of(f)
-        elif isinstance(step, SubstStep):
-            names.add(step.var)
-            if step.replacement is not None:
-                names |= atoms_of(step.replacement)
-    return sorted(names)
+    """The variables some subst step replaces, sorted.
+
+    These are the only helpers any step reads, so every fingerprint of a
+    run tracks exactly them: none for a proof without substitution.
+    """
+    return sorted({step.var for step in script.steps if isinstance(step, SubstStep)})
 
 
 def proof_degree_bound(script: ProofScript) -> int:
@@ -274,17 +268,7 @@ def prove(script: ProofScript, assignment: Assignment, *, strict: bool = False) 
     """Single-run verification under an explicitly given assignment."""
     alloc = VarAllocation(script.signature)
     run = _field_run(script, assignment, alloc, strict=strict)
-    d = proof_degree_bound(script)
-    return Transcript(
-        proof_name=script.name,
-        field=assignment.field,
-        provenance=assignment.provenance,
-        repeats=1,
-        d_bound=d,
-        epsilon=_epsilon(d, assignment.field.p, 1),
-        runs=[run],
-        alloc=alloc,
-    )
+    return _transcript(script, assignment.field, assignment.provenance, [run])
 
 
 def verify(
@@ -310,17 +294,7 @@ def verify(
         sub_seed = hashlib.sha256(seed + r.to_bytes(4, "big")).digest()
         assignment = Assignment.from_seed(sub_seed, field, alloc)
         runs.append(_field_run(script, assignment, alloc, strict=strict))
-    d = proof_degree_bound(script)
-    return Transcript(
-        proof_name=script.name,
-        field=field,
-        provenance=f"seed {seed.hex()}",
-        repeats=repeats,
-        d_bound=d,
-        epsilon=_epsilon(d, field.p, repeats),
-        runs=runs,
-        alloc=alloc,
-    )
+    return _transcript(script, field, f"seed {seed.hex()}", runs)
 
 
 def verify_symbolic(script: ProofScript, *, strict: bool = False) -> SymbolicReport:
@@ -328,25 +302,35 @@ def verify_symbolic(script: ProofScript, *, strict: bool = False) -> SymbolicRep
     must be identical.  Failed exact divisions mean a malformed step and
     reject the script."""
     alloc = VarAllocation(script.signature)
-    ring = SymbolicRing()
-    tracked = tracked_atoms(script)
     try:
-        records, fps = propagate(script, alloc, ring, tracked, strict=strict)
+        records, alpha1, alpha2 = _replay(script, alloc, SymbolicRing(), strict)
     except NotDivisible as exc:
         return SymbolicReport(False, None, None, [], failure=f"malformed step: {exc}")
-    alpha1 = encode(script.goal, alloc, ring)
-    alpha2 = fps[script.qed - 1].main
     return SymbolicReport(alpha1 == alpha2, alpha1, alpha2, records)
+
+
+def _replay(script: ProofScript, alloc: VarAllocation, ring, strict: bool):
+    """Propagate the steps and encode the goal; returns (records, alpha1, alpha2)."""
+    records, fps = propagate(script, alloc, ring, tracked_atoms(script), strict=strict)
+    return records, encode(script.goal, alloc, ring), fps[script.qed - 1].main
 
 
 def _field_run(script, assignment, alloc, *, strict: bool) -> Run:
     assignment.ensure_covers(_needed_vids(script, alloc, strict=strict))
-    ring = assignment.ring()
-    tracked = tracked_atoms(script)
-    records, fps = propagate(script, alloc, ring, tracked, strict=strict)
-    alpha1 = encode(script.goal, alloc, ring)
-    alpha2 = fps[script.qed - 1].main
-    return Run(assignment, records, alpha1, alpha2)
+    return Run(assignment, *_replay(script, alloc, assignment.ring(), strict))
+
+
+def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -> Transcript:
+    d = proof_degree_bound(script)
+    return Transcript(
+        proof_name=script.name,
+        field=field,
+        provenance=provenance,
+        repeats=len(runs),
+        d_bound=d,
+        epsilon=_epsilon(d, field.p, len(runs)),
+        runs=runs,
+    )
 
 
 def _needed_vids(script: ProofScript, alloc: VarAllocation, *, strict: bool):

@@ -154,6 +154,28 @@ def test_factor_rejects_sum(capsys, tmp_path):
     assert "NotAProduct" in err
 
 
+def test_factor_non_object_json_is_malformed(capsys, tmp_path):
+    mat = tmp_path / "m.json"
+    for payload in (5, "abd"):
+        mat.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "factor", str(mat))
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+def test_verify_deep_nesting_never_rejects_by_traceback(capsys, tmp_path):
+    # One K axiom whose alpha is 1200 nested negations (about 1.2 KB).
+    alpha = "!" * 1200 + "x"
+    proof = tmp_path / "deep.proof"
+    proof.write_text(
+        f'proof "deep1200"\ngoal ({alpha} -> (y -> {alpha}))\n'
+        f"1 axiom K {{ alpha = {alpha}, beta = y }}\nqed 1\n"
+    )
+    code, _, err = run(capsys, "verify", str(proof), "--seed", "01")
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
 def test_keygen_then_verify(capsys, tmp_path):
     out_file = tmp_path / "point.assign"
     code, _, _ = run(

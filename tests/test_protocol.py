@@ -4,20 +4,27 @@ from fractions import Fraction
 
 import pytest
 
+from polyproof.cli import _tamper
+from polyproof.encmat import SymbolicRing
 from polyproof.ffield import MERSENNE61, PrimeField
 from polyproof.fingerprint import VarAllocation
 from polyproof.logic import (
     GoalMismatch,
     MPShapeMismatch,
     MPStep,
+    SubstStep,
     atom,
+    atoms_of,
     neg,
     parse_proof,
     run_classical,
 )
+from polyproof.mpoly import NotDivisible
 from polyproof.protocol import (
     Assignment,
+    StrictCheckError,
     proof_degree_bound,
+    propagate,
     prove,
     tracked_atoms,
     verify,
@@ -58,8 +65,57 @@ def test_degree_bound_of_fixture():
 
 
 def test_tracked_atoms():
-    assert tracked_atoms(fixture("imp_refl")) == ["A"]
-    assert tracked_atoms(fixture("subst_demo")) == ["x", "y"]
+    assert tracked_atoms(fixture("imp_refl")) == []
+    assert tracked_atoms(fixture("subst_demo")) == ["x"]
+    assert tracked_atoms(fixture("subst_step")) == ["y"]
+
+
+def every_atom(script):
+    """Every arity-0 symbol in the script's formulas and subst steps."""
+    names = set(atoms_of(script.goal))
+    for step in script.steps:
+        for f in getattr(step, "binding", {}).values():
+            names |= atoms_of(f)
+        if isinstance(step, SubstStep):
+            names.add(step.var)
+            if step.replacement is not None:
+                names |= atoms_of(step.replacement)
+    return sorted(names)
+
+
+def step_outcomes(script, ring, tracked, strict):
+    """Per step prefix: the last step's main matrix, or the exception raised."""
+    alloc = VarAllocation(script.signature)
+    out = []
+    for k in range(1, len(script.steps) + 1):
+        try:
+            _, fps = propagate(
+                replace(script, steps=script.steps[:k]), alloc, ring, tracked, strict=strict
+            )
+            out.append(fps[-1].main)
+        except (NotDivisible, StrictCheckError) as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_untracked_helpers_never_decide_a_step():
+    # Tracking only the substituted variables drops helpers that no step
+    # reads, and with them their exact divisions; every main matrix and
+    # every failing step must stay as with all atoms tracked.
+    for name in FIXTURES:
+        base = fixture(name)
+        variants = [base] + [_tamper(base, k) for k in range(1, len(base.steps) + 1)]
+        for script in variants:
+            alloc = VarAllocation(script.signature)
+            rings = (
+                Assignment.from_seed(SEED1, M61, alloc).ring(),
+                SymbolicRing(),
+            )
+            for ring in rings:
+                for strict in (False, True):
+                    assert step_outcomes(
+                        script, ring, every_atom(script), strict
+                    ) == step_outcomes(script, ring, tracked_atoms(script), strict), name
 
 
 def test_tampered_binding_rejected():
