@@ -17,8 +17,10 @@ A fingerprint extends the encoding with one helper matrix per tracked
 arity-0 symbol x: the sum of the path products leading to the x-leaves
 (the identity for the single-node formula x, the zero matrix when x does
 not occur).  Modus ponens reads no helper and substituting x reads only
-the helper of x, so a proof replay tracks exactly the variables that some
+the helper of x, so a field replay tracks exactly the variables that some
 subst step replaces, and no helper at all for a proof without substitution.
+The exact symbolic replay tracks every atom: in the polynomial ring each
+helper's division in hom_mp is also a check on the step.
 """
 
 from __future__ import annotations

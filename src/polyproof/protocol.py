@@ -16,7 +16,10 @@ proof (points are drawn from the p - 2 values outside {0, 1}).
 
 ``verify_symbolic`` runs the same propagation over exact polynomials and
 accepts only on polynomial identity; it is the ground truth the field
-mode is tested against, feasible for small proofs.
+mode is tested against, feasible for small proofs.  A field run carries
+helper matrices only for the variables some subst step replaces; the
+symbolic run carries one per atom, because their exact divisions reject
+some malformed mp steps that the main matrix lets through.
 """
 
 from __future__ import annotations
@@ -215,9 +218,29 @@ def tracked_atoms(script: ProofScript) -> List[str]:
     """The variables some subst step replaces, sorted.
 
     These are the only helpers any step reads, so every fingerprint of a
-    run tracks exactly them: none for a proof without substitution.
+    field run tracks exactly them: none for a proof without substitution.
     """
     return sorted({step.var for step in script.steps if isinstance(step, SubstStep)})
+
+
+def script_atoms(script: ProofScript) -> List[str]:
+    """All arity-0 symbols appearing in the script's formulas, sorted.
+
+    The symbolic replay tracks all of them: there the exact division of
+    each helper in ``hom_mp`` also checks the step, and it alone rejects
+    an mp whose hypothesis and antecedent differ by a same-size atom swap
+    in the antecedent's right branch.
+    """
+    names = set(atoms_of(script.goal))
+    for step in script.steps:
+        if isinstance(step, AxiomStep):
+            for f in step.binding.values():
+                names |= atoms_of(f)
+        elif isinstance(step, SubstStep):
+            names.add(step.var)
+            if step.replacement is not None:
+                names |= atoms_of(step.replacement)
+    return sorted(names)
 
 
 def proof_degree_bound(script: ProofScript) -> int:
@@ -303,21 +326,24 @@ def verify_symbolic(script: ProofScript, *, strict: bool = False) -> SymbolicRep
     reject the script."""
     alloc = VarAllocation(script.signature)
     try:
-        records, alpha1, alpha2 = _replay(script, alloc, SymbolicRing(), strict)
+        records, alpha1, alpha2 = _replay(
+            script, alloc, SymbolicRing(), script_atoms(script), strict
+        )
     except NotDivisible as exc:
         return SymbolicReport(False, None, None, [], failure=f"malformed step: {exc}")
     return SymbolicReport(alpha1 == alpha2, alpha1, alpha2, records)
 
 
-def _replay(script: ProofScript, alloc: VarAllocation, ring, strict: bool):
+def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked, strict: bool):
     """Propagate the steps and encode the goal; returns (records, alpha1, alpha2)."""
-    records, fps = propagate(script, alloc, ring, tracked_atoms(script), strict=strict)
+    records, fps = propagate(script, alloc, ring, tracked, strict=strict)
     return records, encode(script.goal, alloc, ring), fps[script.qed - 1].main
 
 
 def _field_run(script, assignment, alloc, *, strict: bool) -> Run:
     assignment.ensure_covers(_needed_vids(script, alloc, strict=strict))
-    return Run(assignment, *_replay(script, alloc, assignment.ring(), strict))
+    ring = assignment.ring()
+    return Run(assignment, *_replay(script, alloc, ring, tracked_atoms(script), strict))
 
 
 def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -> Transcript:

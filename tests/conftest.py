@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from polyproof.logic import Formula, Signature, atom, imp, neg
+from polyproof.logic import Formula, Signature, atom, imp, neg, parse_proof, step_formulas
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -17,6 +17,41 @@ SEED1 = bytes(31) + b"\x01"
 
 def load_proof_text(name: str) -> str:
     return (PROOF_DIR / f"{name}.proof").read_text()
+
+
+def _rename_last_leaf(f: Formula, name: str) -> Formula:
+    if not f.children:
+        return atom(name)
+    return Formula(f.root, f.children[:-1] + (_rename_last_leaf(f.children[-1], name),))
+
+
+def atom_swap_text(name: str, on_qed_path: bool) -> str:
+    """A fixture plus one wrong mp step whose premises differ by an atom swap.
+
+    With F the qed formula and F' the same formula with its last leaf
+    renamed to the fresh atom z, appends `K { alpha = F', beta = F }` and
+    an mp from the qed step onto it.  F and F' have the same node count and
+    differ inside the right branch, so the main matrix divides exactly and
+    only the helpers of the swapped atoms can fail.  on_qed_path moves the
+    goal and the qed to that mp's conclusion (F -> F').
+    """
+    text = load_proof_text(name)
+    script = parse_proof(text)
+    f = step_formulas(script)[script.qed - 1]
+    swapped = _rename_last_leaf(f, "z")
+    n = len(script.steps)
+    goal = f"({f} -> {swapped})" if on_qed_path else str(script.goal)
+    lines = [
+        f"goal {goal}" if line.startswith("goal") else line
+        for line in text.splitlines()
+        if not line.startswith("qed")
+    ]
+    lines += [
+        f"{n + 1} axiom K {{ alpha = {swapped}, beta = {f} }}",
+        f"{n + 2} mp {script.qed} {n + 1}",
+        f"qed {n + 2 if on_qed_path else script.qed}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def random_formula(rng: random.Random, max_depth: int, atoms=("x", "y", "z")) -> Formula:

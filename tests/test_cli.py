@@ -3,7 +3,7 @@ import re
 
 from polyproof.cli import main
 
-from .conftest import PROOF_DIR
+from .conftest import PROOF_DIR, atom_swap_text
 
 IMP_REFL = str(PROOF_DIR / "imp_refl.proof")
 SEED_HEX = "01" * 32
@@ -174,6 +174,17 @@ def test_verify_deep_nesting_never_rejects_by_traceback(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(proof), "--seed", "01")
     assert code in (0, 2)
     assert "Traceback" not in err
+
+
+def test_verify_off_path_atom_swap_is_never_accepted(capsys, tmp_path):
+    # A wrong mp step off the qed path that only the symbolic helper
+    # divisions catch: the default mode must not exit 0.
+    proof = tmp_path / "swap.proof"
+    proof.write_text(atom_swap_text("imp_refl", on_qed_path=False))
+    code, out, err = run(capsys, "verify", str(proof), "--seed", "01")
+    assert code == 2
+    assert "symbolic verdict=reject (malformed step" in out
+    assert "disagree" in err
 
 
 def test_keygen_then_verify(capsys, tmp_path):

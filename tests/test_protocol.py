@@ -12,9 +12,7 @@ from polyproof.logic import (
     GoalMismatch,
     MPShapeMismatch,
     MPStep,
-    SubstStep,
     atom,
-    atoms_of,
     neg,
     parse_proof,
     run_classical,
@@ -22,16 +20,16 @@ from polyproof.logic import (
 from polyproof.mpoly import NotDivisible
 from polyproof.protocol import (
     Assignment,
-    StrictCheckError,
     proof_degree_bound,
     propagate,
     prove,
+    script_atoms,
     tracked_atoms,
     verify,
     verify_symbolic,
 )
 
-from .conftest import SEED0, SEED1, load_proof_text
+from .conftest import SEED0, SEED1, atom_swap_text, load_proof_text
 
 M61 = PrimeField(MERSENNE61)
 FIXTURES = ("imp_refl", "subst_demo", "subst_step", "contrapose_fn")
@@ -70,52 +68,45 @@ def test_tracked_atoms():
     assert tracked_atoms(fixture("subst_step")) == ["y"]
 
 
-def every_atom(script):
-    """Every arity-0 symbol in the script's formulas and subst steps."""
-    names = set(atoms_of(script.goal))
-    for step in script.steps:
-        for f in getattr(step, "binding", {}).values():
-            names |= atoms_of(f)
-        if isinstance(step, SubstStep):
-            names.add(step.var)
-            if step.replacement is not None:
-                names |= atoms_of(step.replacement)
-    return sorted(names)
+def test_script_atoms():
+    assert script_atoms(fixture("imp_refl")) == ["A"]
+    assert script_atoms(fixture("subst_demo")) == ["x", "y"]
 
 
-def step_outcomes(script, ring, tracked, strict):
-    """Per step prefix: the last step's main matrix, or the exception raised."""
-    alloc = VarAllocation(script.signature)
-    out = []
-    for k in range(1, len(script.steps) + 1):
-        try:
-            _, fps = propagate(
-                replace(script, steps=script.steps[:k]), alloc, ring, tracked, strict=strict
-            )
-            out.append(fps[-1].main)
-        except (NotDivisible, StrictCheckError) as exc:
-            out.append(type(exc).__name__)
-    return out
+def atom_swap_variants(name):
+    return [parse_proof(atom_swap_text(name, on_path)) for on_path in (False, True)]
 
 
-def test_untracked_helpers_never_decide_a_step():
-    # Tracking only the substituted variables drops helpers that no step
-    # reads, and with them their exact divisions; every main matrix and
-    # every failing step must stay as with all atoms tracked.
+def test_field_mains_do_not_depend_on_untracked_helpers():
+    # A field run tracks only the substituted variables; every main matrix
+    # must stay as with all atoms tracked, on every fixture, tamper variant
+    # and same-size atom swap, strict or not.
     for name in FIXTURES:
         base = fixture(name)
         variants = [base] + [_tamper(base, k) for k in range(1, len(base.steps) + 1)]
-        for script in variants:
+        for script in variants + atom_swap_variants(name):
             alloc = VarAllocation(script.signature)
-            rings = (
-                Assignment.from_seed(SEED1, M61, alloc).ring(),
-                SymbolicRing(),
-            )
-            for ring in rings:
-                for strict in (False, True):
-                    assert step_outcomes(
-                        script, ring, every_atom(script), strict
-                    ) == step_outcomes(script, ring, tracked_atoms(script), strict), name
+            ring = Assignment.from_seed(SEED1, M61, alloc).ring()
+            for strict in (False, True):
+                mains = [
+                    [fp.main for fp in propagate(script, alloc, ring, tracked, strict=strict)[1]]
+                    for tracked in (script_atoms(script), tracked_atoms(script))
+                ]
+                assert mains[0] == mains[1], name
+
+
+def test_symbolic_replay_needs_every_helper():
+    # The swapped premises give the same main division, so only the exact
+    # division of a dropped helper rejects the step, on or off the qed path.
+    for name in FIXTURES:
+        for script in atom_swap_variants(name):
+            alloc = VarAllocation(script.signature)
+            propagate(script, alloc, SymbolicRing(), tracked_atoms(script))
+            with pytest.raises(NotDivisible):
+                propagate(script, alloc, SymbolicRing(), script_atoms(script))
+            for strict in (False, True):
+                report = verify_symbolic(script, strict=strict)
+                assert report.failure.startswith("malformed step"), name
 
 
 def test_tampered_binding_rejected():
