@@ -15,7 +15,6 @@ from .encmat import (
 from .ffield import (
     MERSENNE61,
     FieldElem,
-    FieldMismatch,
     PointSampler,
     PrimeField,
     ZeroInverse,

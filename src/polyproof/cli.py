@@ -27,7 +27,7 @@ from .logic import (
     parse_formula,
     parse_proof,
 )
-from .mpoly import MissingAssignment, MPoly
+from .mpoly import MPoly
 from .protocol import Assignment, StrictCheckError, prove, verify, verify_symbolic
 
 SYMBOLIC_SIZE_LIMIT = 10 * 1024  # above this, default verify mode drops to field-only
@@ -43,6 +43,14 @@ def _parse_seed(text: str) -> bytes:
 def _fiat_shamir_seed(goal: Formula, prime: int, proof_name: str) -> bytes:
     material = f"{goal}\n{prime}\n{proof_name}".encode()
     return hashlib.sha256(material).digest()
+
+
+def _load_assignment(args, alloc: VarAllocation) -> Assignment:
+    with open(args.assign, encoding="utf-8") as fh:
+        assignment = Assignment.from_file_text(fh.read(), alloc, label=args.assign)
+    if args.prime is not None and args.prime != assignment.field.p:
+        raise ValueError("--prime disagrees with the assignment file")
+    return assignment
 
 
 def _path_products(f: Formula, alloc: VarAllocation):
@@ -106,10 +114,7 @@ def cmd_encode(args) -> int:
         return 0
 
     if args.assign is not None:
-        with open(args.assign, encoding="utf-8") as fh:
-            assignment = Assignment.from_file_text(fh.read(), alloc, label=args.assign)
-        if args.prime is not None and args.prime != assignment.field.p:
-            raise ValueError("--prime disagrees with the assignment file")
+        assignment = _load_assignment(args, alloc)
     else:
         field = PrimeField(args.prime if args.prime is not None else MERSENNE61)
         assignment = Assignment.from_seed(_parse_seed(args.seed), field, alloc)
@@ -163,11 +168,9 @@ def cmd_verify(args) -> int:
     transcript = None
     if mode in ("field", "both"):
         if args.assign is not None:
-            alloc = VarAllocation(script.signature)
-            with open(args.assign, encoding="utf-8") as fh:
-                assignment = Assignment.from_file_text(fh.read(), alloc, label=args.assign)
-            if args.prime is not None and args.prime != assignment.field.p:
-                raise ValueError("--prime disagrees with the assignment file")
+            if args.seed is not None or args.fiat_shamir or args.repeats != 1:
+                raise ValueError("--assign fixes one point: drop --seed, --fiat-shamir, --repeats")
+            assignment = _load_assignment(args, VarAllocation(script.signature))
             transcript = prove(script, assignment, strict=args.strict)
         else:
             field = PrimeField(args.prime if args.prime is not None else MERSENNE61)
@@ -292,7 +295,6 @@ def main(argv=None) -> int:
     except (
         ParseError,
         NotAVariable,
-        MissingAssignment,
         StrictCheckError,
         ValueError,
         OSError,

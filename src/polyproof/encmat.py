@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Mapping
 
-from .ffield import FieldElem, PrimeField, ZeroInverse
+from .ffield import FieldElem, PrimeField
 from .mpoly import MPoly, MissingAssignment, NotDivisible, VarId
 
 
@@ -82,10 +82,7 @@ class FieldRing:
         return self.field.one
 
     def div_by_var(self, x: FieldElem, v: VarId) -> FieldElem:
-        val = self.var(v)
-        if val.value == 0:
-            raise ZeroInverse(f"variable {v} evaluates to 0")
-        return x * val.inv()
+        return x * self.var(v).inv()
 
 
 def elem(v: VarId, ring) -> EncMatrix:

@@ -27,10 +27,6 @@ MERSENNE61 = (1 << 61) - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class FieldMismatch(Exception):
-    """Arithmetic between elements of fields with different moduli."""
-
-
 class ZeroInverse(ArithmeticError):
     """Attempt to invert (or divide by) zero."""
 
@@ -65,7 +61,7 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """GF(p) for a prime modulus p with 3 <= p < 2**63."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int):
         if not 3 <= p < (1 << 63):
@@ -73,17 +69,11 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
+        self.zero = FieldElem(0, self)
+        self.one = FieldElem(1, self)
 
     def elem(self, value: int) -> "FieldElem":
         return FieldElem(value % self.p, self)
-
-    @property
-    def zero(self) -> "FieldElem":
-        return FieldElem(0, self)
-
-    @property
-    def one(self) -> "FieldElem":
-        return FieldElem(1, self)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -96,7 +86,10 @@ class PrimeField:
 
 
 class FieldElem:
-    """A value in [0, p) tied to its field; plain immutable arithmetic."""
+    """A value in [0, p) tied to its field; plain immutable arithmetic.
+
+    Operands are not checked: one run holds elements of one field only.
+    """
 
     __slots__ = ("value", "field")
 
@@ -104,23 +97,13 @@ class FieldElem:
         self.value = value % field.p
         self.field = field
 
-    def _coerce(self, other) -> "FieldElem":
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise FieldMismatch(f"mixed moduli {self.field.p} and {other.field.p}")
-        return other
-
     def __add__(self, other):
-        other = self._coerce(other)
         return FieldElem(self.value + other.value, self.field)
 
     def __sub__(self, other):
-        other = self._coerce(other)
         return FieldElem(self.value - other.value, self.field)
 
     def __mul__(self, other):
-        other = self._coerce(other)
         return FieldElem(self.value * other.value, self.field)
 
     def __neg__(self):

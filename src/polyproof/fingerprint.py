@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .encmat import EncMatrix, elem, elem_inv_mul, identity, zero_matrix
-from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature, instantiate_axiom
+from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
 from .mpoly import VarId
 
 
@@ -203,20 +203,13 @@ def degree_bound(f: Formula) -> int:
     return 1 + max((degree_bound(c) for c in f.children), default=0)
 
 
-def axiom_fingerprint(
-    scheme, binding: Dict[str, Formula], alloc: VarAllocation, ring, tracked: Iterable[str]
-) -> Fingerprint:
-    """Direct encoding of an instantiated axiom scheme."""
-    return encode_fingerprint(instantiate_axiom(scheme, binding), alloc, ring, tracked)
-
-
 def axiom_fingerprint_via_template(
     scheme, binding: Dict[str, Formula], alloc: VarAllocation, ring, tracked: Iterable[str]
 ) -> Fingerprint:
     """Instantiate an axiom homomorphically from its template fingerprint.
 
     Encodes the template once over the metavariables, then substitutes
-    each binding with hom_subst.  Must agree with the direct route; the
+    each binding with hom_subst.  Must agree with the direct encoding; the
     strict verification mode cross-checks the two on every axiom step.
     """
     scratch = set(tracked) | set(scheme.metavars)

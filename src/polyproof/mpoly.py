@@ -37,8 +37,8 @@ class NotDivisible(ArithmeticError):
     """Exact division by a variable failed: some monomial lacks it."""
 
 
-class MissingAssignment(Exception):
-    """A variable occurring in the polynomial has no assigned value."""
+class MissingAssignment(ValueError):
+    """A variable that is read has no assigned value."""
 
     def __init__(self, var: VarId):
         super().__init__(f"no value assigned for variable {var}")
@@ -278,7 +278,7 @@ class MPoly:
                     expect_factor = False
             if not saw_any:
                 raise ValueError("empty term")
-            mono = tuple(sorted(factors.items()))
+            mono = tuple(sorted((v, e) for v, e in factors.items() if e))
             return MPoly({mono: sign * coeff})
 
         result = cls.zero()

@@ -8,11 +8,16 @@ A proof script is replayed twice over the same random point of the field:
     homomorphic modus-ponens and substitution operators, without ever
     looking at the intermediate formulas.
 
-The run accepts exactly when alpha1 == alpha2.  A wrong proof can only
-be accepted when the entrywise difference of two distinct polynomial
-matrices vanishes at the sampled point, which happens with probability
-at most d / (p - 2) per repeat, d being the largest formula depth in the
-proof (points are drawn from the p - 2 values outside {0, 1}).
+The run accepts exactly when alpha1 == alpha2.  When a wrong proof
+propagates to a matrix other than the goal's, it is accepted only if the
+entrywise difference vanishes at the sampled point, which happens with
+probability at most d / (p - 2) per repeat, d being the largest formula
+depth in the proof (points are drawn from the p - 2 values outside
+{0, 1}).  No step is checked on its own, though: a wrong mp step whose
+error a later step cancels exactly (an mp over a same-size atom swap,
+healed by substituting the swapped atom; see README) propagates to the
+goal's own matrix and is accepted at every point.  Only the symbolic
+replay rejects it.
 
 ``verify_symbolic`` runs the same propagation over exact polynomials and
 accepts only on polynomial identity; it is the ground truth the field
@@ -28,6 +33,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional
 
 from .encmat import EncMatrix, FieldRing, SymbolicRing
@@ -35,7 +41,6 @@ from .ffield import FieldElem, PointSampler, PrimeField
 from .fingerprint import (
     Fingerprint,
     VarAllocation,
-    axiom_fingerprint,
     axiom_fingerprint_via_template,
     degree_bound,
     encode,
@@ -45,8 +50,6 @@ from .fingerprint import (
 )
 from .logic import (
     AXIOM_SCHEMES,
-    IMPLIES,
-    METAVARIABLES,
     AxiomStep,
     MPStep,
     ProofScript,
@@ -122,11 +125,6 @@ class Assignment:
             lines.append(f"{alloc.display(vid)} = {self.values[vid].value}")
         return "\n".join(lines) + "\n"
 
-    def ensure_covers(self, vids) -> None:
-        missing = [v for v in vids if v not in self.values]
-        if missing:
-            raise ValueError(f"assignment lacks values for variable ids {missing}")
-
     def ring(self) -> FieldRing:
         return FieldRing(self.field, self.values)
 
@@ -140,16 +138,21 @@ class StepRecord:
 
 @dataclass
 class Run:
-    """One replay of the script at one evaluation point."""
+    """One replay of the script at one field point or over exact polynomials;
+    a replay broken off by a failed exact division names its failure."""
 
-    assignment: Assignment
     records: List[StepRecord]
-    alpha1: EncMatrix
-    alpha2: EncMatrix
+    alpha1: Optional[EncMatrix]
+    alpha2: Optional[EncMatrix]
+    failure: Optional[str] = None
 
     @property
     def accepted(self) -> bool:
-        return self.alpha1 == self.alpha2
+        return self.failure is None and self.alpha1 == self.alpha2
+
+    @property
+    def verdict(self) -> str:
+        return "accept" if self.accepted else "reject"
 
 
 @dataclass
@@ -199,21 +202,6 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class SymbolicReport:
-    """Outcome of the exact polynomial replay."""
-
-    accepted: bool
-    alpha1: Optional[EncMatrix]
-    alpha2: Optional[EncMatrix]
-    records: List[StepRecord]
-    failure: Optional[str] = None
-
-    @property
-    def verdict(self) -> str:
-        return "accept" if self.accepted else "reject"
-
-
 def tracked_atoms(script: ProofScript) -> List[str]:
     """The variables some subst step replaces, sorted.
 
@@ -231,15 +219,9 @@ def script_atoms(script: ProofScript) -> List[str]:
     an mp whose hypothesis and antecedent differ by a same-size atom swap
     in the antecedent's right branch.
     """
-    names = set(atoms_of(script.goal))
-    for step in script.steps:
-        if isinstance(step, AxiomStep):
-            for f in step.binding.values():
-                names |= atoms_of(f)
-        elif isinstance(step, SubstStep):
-            names.add(step.var)
-            if step.replacement is not None:
-                names |= atoms_of(step.replacement)
+    names = set(tracked_atoms(script))
+    for f in _literal_formulas(script):
+        names |= atoms_of(f)
     return sorted(names)
 
 
@@ -250,14 +232,18 @@ def proof_degree_bound(script: ProofScript) -> int:
     can deepen them); for scripts whose replay breaks, falls back to the
     formulas that appear literally.
     """
-    formulas = [script.goal]
+    formulas = chain(_literal_formulas(script), step_formulas(script, partial=True))
+    return max(degree_bound(f) for f in formulas)
+
+
+def _literal_formulas(script: ProofScript):
+    """The goal, every instantiated axiom and every literal replacement."""
+    yield script.goal
     for step in script.steps:
         if isinstance(step, AxiomStep):
-            formulas.append(instantiate_axiom(AXIOM_SCHEMES[step.scheme], step.binding))
+            yield instantiate_axiom(AXIOM_SCHEMES[step.scheme], step.binding)
         elif isinstance(step, SubstStep) and step.replacement is not None:
-            formulas.append(step.replacement)
-    formulas.extend(step_formulas(script, partial=True))
-    return max(degree_bound(f) for f in formulas)
+            yield step.replacement
 
 
 def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, strict: bool = False):
@@ -267,7 +253,7 @@ def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, stric
     for idx, step in enumerate(script.steps, 1):
         if isinstance(step, AxiomStep):
             scheme = AXIOM_SCHEMES[step.scheme]
-            fp = axiom_fingerprint(scheme, step.binding, alloc, ring, tracked)
+            fp = encode_fingerprint(instantiate_axiom(scheme, step.binding), alloc, ring, tracked)
             if strict:
                 fp2 = axiom_fingerprint_via_template(scheme, step.binding, alloc, ring, tracked)
                 if fp != fp2:
@@ -290,7 +276,7 @@ def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, stric
 def prove(script: ProofScript, assignment: Assignment, *, strict: bool = False) -> Transcript:
     """Single-run verification under an explicitly given assignment."""
     alloc = VarAllocation(script.signature)
-    run = _field_run(script, assignment, alloc, strict=strict)
+    run = _replay(script, alloc, assignment.ring(), tracked_atoms(script), strict)
     return _transcript(script, assignment.field, assignment.provenance, [run])
 
 
@@ -312,38 +298,34 @@ def verify(
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
     alloc = VarAllocation(script.signature)
+    tracked = tracked_atoms(script)
     runs = []
     for r in range(1, repeats + 1):
         sub_seed = hashlib.sha256(seed + r.to_bytes(4, "big")).digest()
-        assignment = Assignment.from_seed(sub_seed, field, alloc)
-        runs.append(_field_run(script, assignment, alloc, strict=strict))
+        ring = Assignment.from_seed(sub_seed, field, alloc).ring()
+        runs.append(_replay(script, alloc, ring, tracked, strict))
     return _transcript(script, field, f"seed {seed.hex()}", runs)
 
 
-def verify_symbolic(script: ProofScript, *, strict: bool = False) -> SymbolicReport:
+def verify_symbolic(script: ProofScript, *, strict: bool = False) -> Run:
     """Exact verification: the propagated and direct polynomial matrices
     must be identical.  Failed exact divisions mean a malformed step and
     reject the script."""
     alloc = VarAllocation(script.signature)
     try:
-        records, alpha1, alpha2 = _replay(
-            script, alloc, SymbolicRing(), script_atoms(script), strict
-        )
+        return _replay(script, alloc, SymbolicRing(), script_atoms(script), strict)
     except NotDivisible as exc:
-        return SymbolicReport(False, None, None, [], failure=f"malformed step: {exc}")
-    return SymbolicReport(alpha1 == alpha2, alpha1, alpha2, records)
+        return Run([], None, None, failure=f"malformed step: {exc}")
 
 
-def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked, strict: bool):
-    """Propagate the steps and encode the goal; returns (records, alpha1, alpha2)."""
+def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked, strict: bool) -> Run:
+    """Propagate the steps and encode the goal.
+
+    Every variable is read from the ring as the replay reaches it, so an
+    assignment lacking a value the replay needs raises MissingAssignment.
+    """
     records, fps = propagate(script, alloc, ring, tracked, strict=strict)
-    return records, encode(script.goal, alloc, ring), fps[script.qed - 1].main
-
-
-def _field_run(script, assignment, alloc, *, strict: bool) -> Run:
-    assignment.ensure_covers(_needed_vids(script, alloc, strict=strict))
-    ring = assignment.ring()
-    return Run(assignment, *_replay(script, alloc, ring, tracked_atoms(script), strict))
+    return Run(records, encode(script.goal, alloc, ring), fps[script.qed - 1].main)
 
 
 def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -> Transcript:
@@ -357,35 +339,6 @@ def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -
         epsilon=_epsilon(d, field.p, len(runs)),
         runs=runs,
     )
-
-
-def _needed_vids(script: ProofScript, alloc: VarAllocation, *, strict: bool):
-    """Variable ids the replay will touch (all slots of every used symbol)."""
-    symbols = set(atoms_of(script.goal))
-    formulas = [script.goal]
-    for step in script.steps:
-        if isinstance(step, AxiomStep):
-            formulas.append(instantiate_axiom(AXIOM_SCHEMES[step.scheme], step.binding))
-        elif isinstance(step, SubstStep):
-            symbols.add(step.var)
-            if step.replacement is not None:
-                formulas.append(step.replacement)
-
-    def walk(f):
-        symbols.add(f.root)
-        for c in f.children:
-            walk(c)
-
-    for f in formulas:
-        walk(f)
-    symbols.add(IMPLIES)
-    if strict:
-        symbols.update(METAVARIABLES)
-    vids = []
-    for sym in symbols:
-        arity = script.signature.arity(sym) if script.signature.has(sym) else 0
-        vids.extend(alloc.vid(sym, slot) for slot in range(arity + 1))
-    return sorted(vids)
 
 
 def _epsilon(d: int, p: int, repeats: int) -> Fraction:

@@ -145,6 +145,15 @@ def test_factor_identity(capsys, tmp_path):
     assert out.strip() == ""
 
 
+def test_factor_ignores_zero_exponents(capsys, tmp_path):
+    # Y^0 is the constant 1, so the matrix is A(X).
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"a": "X", "b": "1", "d": "Y^0"}))
+    code, out, _ = run(capsys, "factor", str(mat))
+    assert code == 0
+    assert out.strip() == "X"
+
+
 def test_factor_rejects_sum(capsys, tmp_path):
     # A(X) + A(Y) = (X+Y, 2, 2)
     mat = tmp_path / "m.json"
@@ -176,15 +185,30 @@ def test_verify_deep_nesting_never_rejects_by_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+HEALED_SWAP = """proof "healed_swap"
+goal (y -> y)
+1 axiom K { alpha = x, beta = (x -> y) }
+2 axiom S { alpha = x, beta = (x -> x), gamma = x }
+3 mp 1 2
+4 axiom K { alpha = x, beta = x }
+5 mp 4 3
+6 subst 5 x with (y)
+qed 6
+"""
+
+
 def test_verify_off_path_atom_swap_is_never_accepted(capsys, tmp_path):
-    # A wrong mp step off the qed path that only the symbolic helper
-    # divisions catch: the default mode must not exit 0.
+    # Wrong mp steps that only the symbolic helper divisions catch: one off
+    # the qed path, and one on it (step 3 swaps y for x) whose error the
+    # subst at step 6 cancels, so field mode accepts at every point tried.
+    # The default mode must not exit 0.
     proof = tmp_path / "swap.proof"
-    proof.write_text(atom_swap_text("imp_refl", on_qed_path=False))
-    code, out, err = run(capsys, "verify", str(proof), "--seed", "01")
-    assert code == 2
-    assert "symbolic verdict=reject (malformed step" in out
-    assert "disagree" in err
+    for text in (atom_swap_text("imp_refl", on_qed_path=False), HEALED_SWAP):
+        proof.write_text(text)
+        code, out, err = run(capsys, "verify", str(proof), "--seed", "01")
+        assert code == 2
+        assert "symbolic verdict=reject (malformed step" in out
+        assert "disagree" in err
 
 
 def test_keygen_then_verify(capsys, tmp_path):
@@ -205,6 +229,33 @@ def test_keygen_then_verify(capsys, tmp_path):
     )
     assert code == 0
     assert "verdict=accept" in out
+
+
+def test_metavariable_values_needed_only_under_strict(capsys, tmp_path):
+    point = tmp_path / "point.assign"
+    run(capsys, "keygen", IMP_REFL, "--prime", "101", "--seed", "ab", "-o", str(point))
+    lines = point.read_text().splitlines()
+    kept = [ln for ln in lines if ln.split(" =")[0] not in ("ALPHA", "BETA", "GAMMA")]
+    assert len(kept) == len(lines) - 3
+    point.write_text("\n".join(kept) + "\n")
+    argv = ["verify", IMP_REFL, "--assign", str(point), "--mode", "field"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "verdict=accept" in out
+    code, out, err = run(capsys, *argv, "--strict")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_assign_takes_no_seed_flags(capsys, tmp_path):
+    point = tmp_path / "point.assign"
+    run(capsys, "keygen", IMP_REFL, "--prime", "101", "--seed", "ab", "-o", str(point))
+    for extra in (["--repeats", "0"], ["--repeats", "3"], ["--seed", "01"], ["--fiat-shamir"]):
+        code, out, err = run(capsys, "verify", IMP_REFL, "--assign", str(point), *extra)
+        assert code == 2, extra
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_bad_flags_exit_2(capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from polyproof.ffield import (
     MERSENNE61,
-    FieldMismatch,
     PointSampler,
     PrimeField,
     ZeroInverse,
@@ -54,11 +53,6 @@ def test_inverse_law(v):
 def test_zero_inverse():
     with pytest.raises(ZeroInverse):
         PrimeField(101).zero.inv()
-
-
-def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
-        PrimeField(101).elem(1) + PrimeField(103).elem(1)
 
 
 def test_sampler_p3_always_two():

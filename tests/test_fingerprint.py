@@ -10,7 +10,6 @@ from polyproof.fingerprint import (
     UnallocatedSymbol,
     UntrackedVariable,
     VarAllocation,
-    axiom_fingerprint,
     axiom_fingerprint_via_template,
     degree_bound,
     encode,
@@ -23,6 +22,7 @@ from polyproof.logic import (
     Signature,
     atom,
     imp,
+    instantiate_axiom,
     neg,
     node_count,
     occurrences,
@@ -173,9 +173,12 @@ def test_hom_mp_recovers_middle_step():
     sig.declare("A", 0)
     alloc = VarAllocation(sig)
     a, b = atom("A"), parse_formula("(A -> A)", sig)
-    k_ab = axiom_fingerprint(AXIOM_SCHEMES["K"], {"alpha": a, "beta": b}, alloc, RING, ("A",))
-    s_aba = axiom_fingerprint(
-        AXIOM_SCHEMES["S"], {"alpha": a, "beta": b, "gamma": a}, alloc, RING, ("A",)
+    k_ab = encode_fingerprint(
+        instantiate_axiom(AXIOM_SCHEMES["K"], {"alpha": a, "beta": b}), alloc, RING, ("A",)
+    )
+    s_aba = encode_fingerprint(
+        instantiate_axiom(AXIOM_SCHEMES["S"], {"alpha": a, "beta": b, "gamma": a}),
+        alloc, RING, ("A",),
     )
     got = hom_mp(k_ab, s_aba, alloc, RING)
     c = parse_formula("((A -> (A -> A)) -> (A -> A))", sig)
@@ -210,7 +213,9 @@ def test_axiom_template_route_matches_direct():
     sig.declare("A", 0)
     alloc = VarAllocation(sig)
     binding = {"alpha": atom("A"), "beta": parse_formula("(A -> A)", sig)}
-    direct = axiom_fingerprint(AXIOM_SCHEMES["K"], binding, alloc, RING, ("A",))
+    direct = encode_fingerprint(
+        instantiate_axiom(AXIOM_SCHEMES["K"], binding), alloc, RING, ("A",)
+    )
     via = axiom_fingerprint_via_template(AXIOM_SCHEMES["K"], binding, alloc, RING, ("A",))
     assert direct == via
 

@@ -141,6 +141,13 @@ def test_parse_custom_names():
     assert p == MPoly.var(0) * MPoly.var(1) + MPoly.const(2) * MPoly.var(0) - MPoly.one()
 
 
+def test_parse_drops_zero_exponents():
+    # Monomials hold exponents >= 1 only, so X1^0 is the constant 1.
+    assert MPoly.parse("X1^0") == MPoly.one()
+    assert MPoly.parse("3*X1^0*X2 + X1^0") == MPoly.const(3) * X2 + MPoly.one()
+    assert MPoly.parse("X2^0*X2") == X2
+
+
 def test_parse_rejects_unknown_names():
     with pytest.raises(ValueError):
         MPoly.parse("Q + 1")
