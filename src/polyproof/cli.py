@@ -22,12 +22,11 @@ from .logic import (
     ProofScript,
     Signature,
     SubstStep,
-    atoms_of,
     neg,
     parse_formula,
     parse_proof,
 )
-from .mpoly import MPoly
+from .mpoly import MissingAssignment, MPoly
 from .protocol import Assignment, StrictCheckError, prove, verify, verify_symbolic
 
 SYMBOLIC_SIZE_LIMIT = 10 * 1024  # above this, default verify mode drops to field-only
@@ -84,7 +83,7 @@ def cmd_encode(args) -> int:
     sig = Signature()
     formula = parse_formula(args.formula, sig)
     alloc = VarAllocation(sig)
-    tracked = sorted(atoms_of(formula))
+    tracked = sig.atoms()
 
     field_mode = args.assign is not None or args.seed is not None
     if args.symbolic and field_mode:
@@ -114,11 +113,16 @@ def cmd_encode(args) -> int:
         return 0
 
     if args.assign is not None:
+        if args.seed is not None:
+            raise ValueError("--assign fixes one point: drop --seed")
         assignment = _load_assignment(args, alloc)
     else:
         field = PrimeField(args.prime if args.prime is not None else MERSENNE61)
         assignment = Assignment.from_seed(_parse_seed(args.seed), field, alloc)
-    fp = encode_fingerprint(formula, alloc, assignment.ring(), tracked)
+    try:
+        fp = encode_fingerprint(formula, alloc, assignment.ring(), tracked)
+    except MissingAssignment as exc:
+        raise MissingAssignment(alloc.display(exc.var)) from None
     print(f"formula {formula}")
     print(f"prime {assignment.field.p}")
     print(f"main=[{fp.main.a.value}, {fp.main.b.value}, {fp.main.d.value}]")
@@ -160,6 +164,9 @@ def cmd_verify(args) -> int:
     mode = args.mode
     if mode is None:
         mode = "both" if len(text.encode()) < SYMBOLIC_SIZE_LIMIT else "field"
+    point_flags = args.seed is not None or args.fiat_shamir or args.repeats != 1
+    if mode == "symbolic" and (point_flags or args.assign is not None):
+        raise ValueError("--mode symbolic takes no --seed, --assign, --fiat-shamir, --repeats")
 
     symbolic_report = None
     if mode in ("symbolic", "both"):
@@ -168,7 +175,7 @@ def cmd_verify(args) -> int:
     transcript = None
     if mode in ("field", "both"):
         if args.assign is not None:
-            if args.seed is not None or args.fiat_shamir or args.repeats != 1:
+            if point_flags:
                 raise ValueError("--assign fixes one point: drop --seed, --fiat-shamir, --repeats")
             assignment = _load_assignment(args, VarAllocation(script.signature))
             transcript = prove(script, assignment, strict=args.strict)

@@ -198,9 +198,14 @@ def hom_subst(
     return Fingerprint(main, helpers)
 
 
-def degree_bound(f: Formula) -> int:
-    """Nodes on the longest root-to-leaf path; bounds every entry degree."""
-    return 1 + max((degree_bound(c) for c in f.children), default=0)
+def degree_bound(*formulas: Formula) -> int:
+    """Nodes on the longest root-to-leaf path of the formulas, which bounds every
+    entry degree; walked level by level, each shared subtree once per level."""
+    depth, level = 0, formulas
+    while level:
+        depth += 1
+        level = {id(c): c for f in level for c in f.children}.values()
+    return depth
 
 
 def axiom_fingerprint_via_template(

@@ -9,7 +9,7 @@ is no precedence to resolve):
              | name '(' formula {',' formula} ')'
 
 Arity-0 symbols are substitutable variables.  Symbols of positive arity
-must be declared before use; bare atoms may be declared implicitly while
+must be declared before use; bare atoms are declared implicitly while
 parsing.  The names ``alpha``, ``beta`` and ``gamma`` are reserved for
 axiom-scheme metavariables and are rejected as formula symbols.
 
@@ -127,15 +127,6 @@ def occurrences(f: Formula, name: str) -> int:
     return sum(occurrences(c, name) for c in f.children)
 
 
-def atoms_of(f: Formula) -> set:
-    if not f.children:
-        return {f.root}
-    out = set()
-    for c in f.children:
-        out |= atoms_of(c)
-    return out
-
-
 class Signature:
     """Symbol table: name -> arity.  '->' and '!' are always present."""
 
@@ -169,6 +160,10 @@ class Signature:
             (n, a) for n, a in self._arity.items() if n not in (IMPLIES, NOT)
         )
 
+    def atoms(self) -> List[str]:
+        """The arity-0 symbols, sorted by name."""
+        return [n for n, a in self.symbols() if a == 0]
+
 
 # -- formula parsing ---------------------------------------------------------
 
@@ -190,8 +185,8 @@ def _tokenize_formula(text: str):
     return tokens
 
 
-def parse_formula(text: str, sig: Optional[Signature] = None, *, implicit_atoms: bool = True) -> Formula:
-    """Parse a formula, optionally declaring unseen arity-0 symbols in sig."""
+def parse_formula(text: str, sig: Optional[Signature] = None) -> Formula:
+    """Parse a formula, declaring unseen arity-0 symbols in sig."""
     if sig is None:
         sig = Signature()
     tokens = _tokenize_formula(text)
@@ -245,16 +240,13 @@ def parse_formula(text: str, sig: Optional[Signature] = None, *, implicit_atoms:
                     pos=at,
                 )
             return Formula(name, tuple(args))
-        if sig.has(name):
-            if sig.arity(name) != 0:
-                raise ArityMismatch(
-                    f"{name!r} has arity {sig.arity(name)} and needs arguments",
-                    pos=at,
-                )
-        elif implicit_atoms:
+        if not sig.has(name):
             sig.declare(name, 0)
-        else:
-            raise UnknownSymbol(f"unknown symbol {name!r}", pos=at)
+        elif sig.arity(name) != 0:
+            raise ArityMismatch(
+                f"{name!r} has arity {sig.arity(name)} and needs arguments",
+                pos=at,
+            )
         return atom(name)
 
     result = formula()
@@ -269,13 +261,14 @@ def subst_syntactic(f: Formula, var: str, replacement: Formula, sig: Signature) 
     """Replace every occurrence of the arity-0 symbol var by replacement."""
     if sig.has(var) and sig.arity(var) != 0:
         raise NotAVariable(f"{var!r} has arity {sig.arity(var)}")
+    return _substitute(f, {var: replacement})
 
-    def walk(node: Formula) -> Formula:
-        if not node.children:
-            return replacement if node.root == var else node
-        return Formula(node.root, tuple(walk(c) for c in node.children))
 
-    return walk(f)
+def _substitute(f: Formula, mapping: Dict[str, Formula]) -> Formula:
+    """Simultaneously replace every leaf named in mapping by its formula."""
+    if not f.children:
+        return mapping.get(f.root, f)
+    return Formula(f.root, tuple(_substitute(c, mapping) for c in f.children))
 
 
 @dataclass(frozen=True)
@@ -305,13 +298,7 @@ def instantiate_axiom(scheme: AxiomScheme, binding: Dict[str, Formula]) -> Formu
     for mv in scheme.metavars:
         if mv not in binding:
             raise MissingBinding(f"axiom {scheme.name} needs {mv}")
-
-    def walk(node: Formula) -> Formula:
-        if not node.children:
-            return binding.get(node.root, node)
-        return Formula(node.root, tuple(walk(c) for c in node.children))
-
-    return walk(scheme.template)
+    return _substitute(scheme.template, binding)
 
 
 # -- proof scripts -------------------------------------------------------------

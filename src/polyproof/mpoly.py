@@ -38,9 +38,9 @@ class NotDivisible(ArithmeticError):
 
 
 class MissingAssignment(ValueError):
-    """A variable that is read has no assigned value."""
+    """A variable that is read has no assigned value (var: id or display name)."""
 
-    def __init__(self, var: VarId):
+    def __init__(self, var: VarId | str):
         super().__init__(f"no value assigned for variable {var}")
         self.var = var
 

@@ -23,8 +23,8 @@ replay rejects it.
 accepts only on polynomial identity; it is the ground truth the field
 mode is tested against, feasible for small proofs.  A field run carries
 helper matrices only for the variables some subst step replaces; the
-symbolic run carries one per atom, because their exact divisions reject
-some malformed mp steps that the main matrix lets through.
+symbolic run carries one per atom of the signature, as their exact
+divisions reject some malformed mp steps the main matrix lets through.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, List, Optional
 
 from .encmat import EncMatrix, FieldRing, SymbolicRing
@@ -54,11 +53,10 @@ from .logic import (
     MPStep,
     ProofScript,
     SubstStep,
-    atoms_of,
     instantiate_axiom,
     step_formulas,
 )
-from .mpoly import NotDivisible, VarId
+from .mpoly import MissingAssignment, NotDivisible, VarId
 
 
 class StrictCheckError(Exception):
@@ -212,17 +210,14 @@ def tracked_atoms(script: ProofScript) -> List[str]:
 
 
 def script_atoms(script: ProofScript) -> List[str]:
-    """All arity-0 symbols appearing in the script's formulas, sorted.
+    """All arity-0 symbols of the script's signature, sorted.
 
     The symbolic replay tracks all of them: there the exact division of
     each helper in ``hom_mp`` also checks the step, and it alone rejects
     an mp whose hypothesis and antecedent differ by a same-size atom swap
     in the antecedent's right branch.
     """
-    names = set(tracked_atoms(script))
-    for f in _literal_formulas(script):
-        names |= atoms_of(f)
-    return sorted(names)
+    return script.signature.atoms()
 
 
 def proof_degree_bound(script: ProofScript) -> int:
@@ -230,20 +225,15 @@ def proof_degree_bound(script: ProofScript) -> int:
 
     Uses the syntactic replay to include derived formulas (substitution
     can deepen them); for scripts whose replay breaks, falls back to the
-    formulas that appear literally.
+    goal, the instantiated axioms and the literal replacements.
     """
-    formulas = chain(_literal_formulas(script), step_formulas(script, partial=True))
-    return max(degree_bound(f) for f in formulas)
-
-
-def _literal_formulas(script: ProofScript):
-    """The goal, every instantiated axiom and every literal replacement."""
-    yield script.goal
+    literal = [script.goal]
     for step in script.steps:
         if isinstance(step, AxiomStep):
-            yield instantiate_axiom(AXIOM_SCHEMES[step.scheme], step.binding)
+            literal.append(instantiate_axiom(AXIOM_SCHEMES[step.scheme], step.binding))
         elif isinstance(step, SubstStep) and step.replacement is not None:
-            yield step.replacement
+            literal.append(step.replacement)
+    return degree_bound(*literal, *step_formulas(script, partial=True))
 
 
 def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, strict: bool = False):
@@ -322,10 +312,15 @@ def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked, strict: bo
     """Propagate the steps and encode the goal.
 
     Every variable is read from the ring as the replay reaches it, so an
-    assignment lacking a value the replay needs raises MissingAssignment.
+    assignment lacking a value the replay needs raises MissingAssignment,
+    which names the variable as assignment files do.
     """
-    records, fps = propagate(script, alloc, ring, tracked, strict=strict)
-    return Run(records, encode(script.goal, alloc, ring), fps[script.qed - 1].main)
+    try:
+        records, fps = propagate(script, alloc, ring, tracked, strict=strict)
+        alpha1 = encode(script.goal, alloc, ring)
+    except MissingAssignment as exc:
+        raise MissingAssignment(alloc.display(exc.var)) from None
+    return Run(records, alpha1, fps[script.qed - 1].main)
 
 
 def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -> Transcript:
@@ -347,6 +342,4 @@ def _epsilon(d: int, p: int, repeats: int) -> Fraction:
 
 
 def _fmt_matrix(m: EncMatrix) -> str:
-    if isinstance(m.a, FieldElem):
-        return f"[{m.a.value}, {m.b.value}, {m.d.value}]"
-    return f"[{m.a.render()}; {m.b.render()}; {m.d.render()}]"
+    return f"[{m.a.value}, {m.b.value}, {m.d.value}]"

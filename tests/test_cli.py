@@ -56,6 +56,15 @@ def test_encode_rejects_mixed_modes(capsys):
     assert code == 2
 
 
+def test_encode_assign_takes_no_seed(capsys, tmp_path):
+    assign = tmp_path / "point.assign"
+    assign.write_text("prime = 101\nI = 5\nI1 = 7\nI2 = 11\nX = 2\nY = 3\n")
+    code, out, err = run(capsys, "encode", "(x -> y)", "--assign", str(assign), "--seed", "ff")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_fixture_accepts(capsys):
     code, out, _ = run(capsys, "verify", IMP_REFL, "--seed", SEED_HEX)
     assert code == 0
@@ -185,6 +194,20 @@ def test_verify_deep_nesting_never_rejects_by_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_verify_field_depth_costs_no_stack(capsys, tmp_path):
+    # The degree bound walks level by level, so field mode reaches the
+    # parser's own depth limit.
+    alpha = "!" * 900 + "x"
+    proof = tmp_path / "deep.proof"
+    proof.write_text(
+        f'proof "deep900"\ngoal ({alpha} -> (y -> {alpha}))\n'
+        f"1 axiom K {{ alpha = {alpha}, beta = y }}\nqed 1\n"
+    )
+    code, out, err = run(capsys, "verify", str(proof), "--mode", "field", "--seed", "01")
+    assert code == 0, err
+    assert "verdict=accept" in out
+
+
 HEALED_SWAP = """proof "healed_swap"
 goal (y -> y)
 1 axiom K { alpha = x, beta = (x -> y) }
@@ -246,6 +269,7 @@ def test_metavariable_values_needed_only_under_strict(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert "ALPHA" in err
 
 
 def test_verify_assign_takes_no_seed_flags(capsys, tmp_path):
@@ -253,6 +277,37 @@ def test_verify_assign_takes_no_seed_flags(capsys, tmp_path):
     run(capsys, "keygen", IMP_REFL, "--prime", "101", "--seed", "ab", "-o", str(point))
     for extra in (["--repeats", "0"], ["--repeats", "3"], ["--seed", "01"], ["--fiat-shamir"]):
         code, out, err = run(capsys, "verify", IMP_REFL, "--assign", str(point), *extra)
+        assert code == 2, extra
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_verify_field_squaring_substitution_terminates(capsys, tmp_path):
+    # Each subst doubles the formula's depth and squares its leaf count;
+    # the formulas share subtrees, and the degree bound walks them shared.
+    proof = tmp_path / "dbl4.proof"
+    proof.write_text(
+        'proof "dbl4"\ngoal (x -> (x -> x))\n1 axiom K { alpha = x, beta = x }\n'
+        + "".join(f"{n} subst {n - 1} x step {n - 1}\n" for n in range(2, 6))
+        + "qed 5\n"
+    )
+    code, out, _ = run(capsys, "verify", str(proof), "--mode", "field", "--seed", "01")
+    assert code == 1
+    assert "d-bound 33" in out
+    assert "verdict=reject" in out
+
+
+def test_verify_symbolic_takes_no_point_flags(capsys, tmp_path):
+    point = tmp_path / "point.assign"
+    run(capsys, "keygen", IMP_REFL, "--prime", "101", "--seed", "ab", "-o", str(point))
+    for extra in (
+        ["--seed", "01"],
+        ["--assign", str(point)],
+        ["--fiat-shamir"],
+        ["--repeats", "0"],
+        ["--repeats", "3"],
+    ):
+        code, out, err = run(capsys, "verify", IMP_REFL, "--mode", "symbolic", *extra)
         assert code == 2, extra
         assert out == ""
         assert err.startswith("error: ")

@@ -224,6 +224,15 @@ def test_degree_bound_examples():
     assert degree_bound(atom("x")) == 1
     assert degree_bound(parse_formula("((x -> y) -> (x -> z))")) == 3
     assert degree_bound(parse_formula("!!!x")) == 4
+    assert degree_bound(atom("x"), parse_formula("!!x"), parse_formula("(x -> y)")) == 3
+    deep = atom("x")
+    for _ in range(5000):
+        deep = neg(deep)
+    assert degree_bound(deep) == 5001
+    shared = atom("x")  # 2**101 - 1 nodes unshared, 101 distinct objects
+    for _ in range(100):
+        shared = imp(shared, shared)
+    assert degree_bound(shared) == 101
 
 
 @settings(max_examples=60)

@@ -85,11 +85,6 @@ def test_parse_rejects_metavariable_names():
         parse_formula("(alpha -> x)")
 
 
-def test_parse_closed_signature():
-    with pytest.raises(UnknownSymbol):
-        parse_formula("q", Signature(), implicit_atoms=False)
-
-
 @given(formulas)
 def test_print_parse_roundtrip(f):
     assert parse_formula(str(f)) == f

@@ -71,6 +71,14 @@ def test_tracked_atoms():
 def test_script_atoms():
     assert script_atoms(fixture("imp_refl")) == ["A"]
     assert script_atoms(fixture("subst_demo")) == ["x", "y"]
+    assert script_atoms(fixture("subst_step")) == ["x", "y"]
+    assert script_atoms(fixture("contrapose_fn")) == ["x", "y"]
+    # A declared atom counts even where no formula uses it.
+    declared = parse_proof(
+        'proof "q"\nsymbol q arity 0\ngoal (x -> (x -> x))\n'
+        "1 axiom K { alpha = x, beta = x }\nqed 1\n"
+    )
+    assert script_atoms(declared) == ["q", "x"]
 
 
 def atom_swap_variants(name):
