@@ -86,6 +86,8 @@ def cmd_encode(args) -> int:
     tracked = sig.atoms()
 
     field_mode = args.assign is not None or args.seed is not None
+    if args.prime is not None and not field_mode:
+        raise ValueError("--prime sets the field of a point: add --seed or --assign")
     if args.symbolic and field_mode:
         raise ValueError("choose either --symbolic or a field assignment")
 
@@ -165,8 +167,10 @@ def cmd_verify(args) -> int:
     if mode is None:
         mode = "both" if len(text.encode()) < SYMBOLIC_SIZE_LIMIT else "field"
     point_flags = args.seed is not None or args.fiat_shamir or args.repeats != 1
-    if mode == "symbolic" and (point_flags or args.assign is not None):
-        raise ValueError("--mode symbolic takes no --seed, --assign, --fiat-shamir, --repeats")
+    if mode == "symbolic" and (point_flags or args.assign is not None or args.prime is not None):
+        raise ValueError(
+            "--mode symbolic takes no --seed, --assign, --prime, --fiat-shamir, --repeats"
+        )
 
     symbolic_report = None
     if mode in ("symbolic", "both"):

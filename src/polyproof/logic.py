@@ -265,10 +265,35 @@ def subst_syntactic(f: Formula, var: str, replacement: Formula, sig: Signature) 
 
 
 def _substitute(f: Formula, mapping: Dict[str, Formula]) -> Formula:
-    """Simultaneously replace every leaf named in mapping by its formula."""
+    """Simultaneously replace every leaf named in mapping by its formula.
+
+    Maps each distinct inner node of f (by identity) once, with an explicit
+    stack, so the result shares subtrees as f does and every copy of a
+    replacement is one subtree: cost and result grow with distinct nodes,
+    not with tree size or depth.
+    """
     if not f.children:
         return mapping.get(f.root, f)
-    return Formula(f.root, tuple(_substitute(c, mapping) for c in f.children))
+    done: Dict[int, Formula] = {}
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kids, waiting = [], False
+        for c in node.children:
+            if not c.children:
+                kids.append(mapping.get(c.root, c))
+            elif id(c) in done:
+                kids.append(done[id(c)])
+            else:
+                waiting = True
+                stack.append(c)
+        if not waiting:
+            stack.pop()
+            done[id(node)] = Formula(node.root, tuple(kids))
+    return done[id(f)]
 
 
 @dataclass(frozen=True)
@@ -522,6 +547,10 @@ def _parse_subst_step(rest: str, sig: Signature, idx: int, line_no: int) -> Subs
 def step_formulas(script: ProofScript, *, partial: bool = False) -> List[Formula]:
     """The formula derived at each step, executing the script syntactically.
 
+    The formulas share subtrees (see ``_substitute``), so one substituted
+    into itself k times costs its distinct nodes, not its tree; a walk that
+    ignores sharing (``str``, ``node_count``) still pays for the tree.
+
     With partial=True, stops at the first broken step and returns the
     prefix instead of raising.
     """
@@ -534,6 +563,8 @@ def step_formulas(script: ProofScript, *, partial: bool = False) -> List[Formula
                 hyp = derived[step.hyp - 1]
                 impl = derived[step.imp - 1]
                 if impl.root != IMPLIES or impl.children[0] != hyp:
+                    if partial:  # spare printing formulas of any tree size
+                        return derived
                     raise MPShapeMismatch(
                         f"step {len(derived) + 1}: {impl} does not follow from {hyp} by mp"
                     )
@@ -543,7 +574,7 @@ def step_formulas(script: ProofScript, *, partial: bool = False) -> List[Formula
                 if repl is None:
                     repl = derived[step.replacement_step - 1]
                 f = subst_syntactic(derived[step.source - 1], step.var, repl, script.signature)
-        except (MPShapeMismatch, NotAVariable):
+        except NotAVariable:
             if partial:
                 return derived
             raise

@@ -224,16 +224,18 @@ def proof_degree_bound(script: ProofScript) -> int:
     """Largest formula depth occurring in the proof.
 
     Uses the syntactic replay to include derived formulas (substitution
-    can deepen them); for scripts whose replay breaks, falls back to the
-    goal, the instantiated axioms and the literal replacements.
+    can deepen them); for scripts whose replay breaks, adds the axioms
+    after the broken step, instantiated here.  The goal and the literal
+    replacements always count.
     """
+    derived = step_formulas(script, partial=True)
     literal = [script.goal]
-    for step in script.steps:
-        if isinstance(step, AxiomStep):
+    for n, step in enumerate(script.steps):
+        if isinstance(step, AxiomStep) and n >= len(derived):
             literal.append(instantiate_axiom(AXIOM_SCHEMES[step.scheme], step.binding))
         elif isinstance(step, SubstStep) and step.replacement is not None:
             literal.append(step.replacement)
-    return degree_bound(*literal, *step_formulas(script, partial=True))
+    return degree_bound(*literal, *derived)
 
 
 def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, strict: bool = False):

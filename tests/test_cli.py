@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from polyproof.cli import main
 
-from .conftest import PROOF_DIR, atom_swap_text
+from .conftest import PROOF_DIR, atom_swap_text, load_proof_text
 
 IMP_REFL = str(PROOF_DIR / "imp_refl.proof")
 SEED_HEX = "01" * 32
@@ -316,3 +322,117 @@ def test_verify_symbolic_takes_no_point_flags(capsys, tmp_path):
 def test_bad_flags_exit_2(capsys):
     assert main(["verify"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def dbl_text(k: int) -> str:
+    """K { alpha = x, beta = x } substituted into itself k times."""
+    return (
+        f'proof "dbl{k}"\ngoal (x -> (x -> x))\n1 axiom K {{ alpha = x, beta = x }}\n'
+        + "".join(f"{n} subst {n - 1} x step {n - 1}\n" for n in range(2, k + 2))
+        + f"qed {k + 1}\n"
+    )
+
+
+@pytest.mark.parametrize("k, depth", [(5, 65), (8, 513)])
+def test_verify_field_self_substitution_costs_distinct_nodes(capsys, tmp_path, k, depth):
+    # The tree of the last formula has 3^(2^k) leaves but 2^(k+1) + 2
+    # distinct nodes, and the syntactic replay builds only those.
+    proof = tmp_path / "dbl.proof"
+    proof.write_text(dbl_text(k))
+    code, out, _ = run(capsys, "verify", str(proof), "--mode", "field", "--seed", "01")
+    assert code == 1
+    assert f"d-bound {depth}" in out
+    assert "verdict=reject" in out
+
+
+def test_verify_field_wrong_mp_after_self_substitution_terminates(capsys, tmp_path):
+    # The degree bound's replay stops at the wrong mp without printing its
+    # premises, whose text would run to 3^64 leaves.
+    proof = tmp_path / "dbl.proof"
+    proof.write_text(dbl_text(5).replace("qed 6\n", "7 mp 6 6\nqed 7\n"))
+    code, out, _ = run(capsys, "verify", str(proof), "--mode", "field", "--seed", "01")
+    assert code == 1
+    assert "d-bound 65" in out
+
+
+def test_prime_needs_a_field_point(capsys):
+    for argv in (
+        ["verify", IMP_REFL, "--mode", "symbolic", "--prime", "101"],
+        ["encode", "(x -> y)", "--prime", "101"],
+        ["encode", "(x -> y)", "--prime", "101", "--symbolic"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+_fuzz_atom = st.sampled_from(["x", "y", "z"])
+_fuzz_formula = st.recursive(
+    _fuzz_atom,
+    lambda inner: st.one_of(
+        inner.map(lambda a: "!" + a),
+        st.tuples(inner, inner).map(lambda ab: f"({ab[0]} -> {ab[1]})"),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _fuzz_script(draw):
+    """A grammar-built script of axiom, mp and subst steps (mostly wrong)."""
+    count = draw(st.integers(1, 5))
+    lines = ['proof "fuzz"', f"goal {draw(_fuzz_formula)}"]
+    for n in range(1, count + 1):
+        kind = draw(st.sampled_from(["axiom", "mp", "subst"] if n > 1 else ["axiom"]))
+        earlier = st.integers(1, n - 1) if n > 1 else None
+        if kind == "axiom":
+            scheme = draw(st.sampled_from("KSN"))
+            names = ("alpha", "beta", "gamma") if scheme == "S" else ("alpha", "beta")
+            binding = ", ".join(f"{mv} = {draw(_fuzz_formula)}" for mv in names)
+            lines.append(f"{n} axiom {scheme} {{ {binding} }}")
+        elif kind == "mp":
+            lines.append(f"{n} mp {draw(earlier)} {draw(earlier)}")
+        elif draw(st.booleans()):
+            lines.append(f"{n} subst {draw(earlier)} x with ({draw(_fuzz_formula)})")
+        else:
+            lines.append(f"{n} subst {draw(earlier)} {draw(_fuzz_atom)} step {draw(earlier)}")
+    lines.append(f"qed {draw(st.integers(1, count))}")
+    return "\n".join(lines) + "\n"
+
+
+_FIXTURES = ("imp_refl", "subst_demo", "subst_step", "contrapose_fn")
+
+
+@st.composite
+def _fuzz_text(draw):
+    """A script or a fixture, with up to three single-character edits."""
+    fixture = st.sampled_from(_FIXTURES).map(load_proof_text)
+    text = draw(st.one_of(_fuzz_script(), fixture))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(list("0123456789()!->{},=#\" \nxyzfKSN")))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            text = text[:at] + ch + text[at:]
+        else:
+            text = text[:at] + (ch if edit == "replace" else "") + text[at + 1:]
+    return text
+
+
+_FUZZ_FLAGS = (
+    ["--seed", "01"],
+    ["--seed", "01", "--mode", "field", "--strict"],
+    ["--mode", "symbolic"],
+    ["--seed", "01", "--tamper-step", "2"],
+)
+
+
+@settings(max_examples=100)
+@given(_fuzz_text(), st.sampled_from(_FUZZ_FLAGS))
+def test_verify_fuzz_exits_by_contract(tmp_path_factory, text, flags):
+    proof = tmp_path_factory.mktemp("fuzz") / "f.proof"
+    proof.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(proof), *flags])
+    assert code in (0, 1, 2)

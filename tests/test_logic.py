@@ -8,6 +8,7 @@ from polyproof.logic import (
     AxiomStep,
     BadQed,
     ForwardReference,
+    Formula,
     GoalMismatch,
     MissingBinding,
     MPShapeMismatch,
@@ -17,6 +18,7 @@ from polyproof.logic import (
     Signature,
     SubstStep,
     UnknownSymbol,
+    _substitute,
     atom,
     imp,
     instantiate_axiom,
@@ -24,6 +26,7 @@ from polyproof.logic import (
     parse_formula,
     parse_proof,
     run_classical,
+    step_formulas,
     subst_syntactic,
 )
 
@@ -117,6 +120,64 @@ def test_subst_identity(f):
     for name in ("x", "y", "z"):
         sig.declare(name, 0)
     assert subst_syntactic(f, "x", atom("x"), sig) == f
+
+
+def _naive_substitute(f, mapping):
+    if not f.children:
+        return mapping.get(f.root, f)
+    return Formula(f.root, tuple(_naive_substitute(c, mapping) for c in f.children))
+
+
+def _distinct_nodes(f):
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+def _leaves(f, memo):
+    if id(f) not in memo:
+        memo[id(f)] = sum(_leaves(c, memo) for c in f.children) if f.children else 1
+    return memo[id(f)]
+
+
+@given(formulas, st.dictionaries(st.sampled_from(["x", "y", "z"]), formulas, max_size=3))
+def test_substitute_matches_naive_reference(f, mapping):
+    # The formulas strategy shares its atoms; imp(f, f) also shares a subtree.
+    for g in (f, imp(f, f)):
+        assert _substitute(g, mapping) == _naive_substitute(g, mapping)
+
+
+def test_subst_shares_repeated_substitution(xyz_signature):
+    r = imp(atom("x"), atom("x"))
+    f = r
+    for _ in range(40):
+        f = subst_syntactic(f, "x", r, xyz_signature)
+    assert _leaves(f, {}) == 2**41
+    assert _distinct_nodes(f) <= 2 * 40
+
+
+def test_subst_deep_chain_needs_no_recursion(xyz_signature):
+    f = atom("x")
+    for _ in range(5000):
+        f = neg(f)
+    g = subst_syntactic(f, "x", imp(atom("y"), atom("y")), xyz_signature)
+    for _ in range(5000):
+        assert g.root == "!"
+        (g,) = g.children
+    assert g == imp(atom("y"), atom("y"))
+
+
+def test_self_substitution_grows_by_distinct_nodes():
+    # dbl-k: K { alpha = x, beta = x } substituted into itself k times.
+    k = 10
+    text = 'proof "dbl"\ngoal (x -> (x -> x))\n1 axiom K { alpha = x, beta = x }\n'
+    text += "".join(f"{n} subst {n - 1} x step {n - 1}\n" for n in range(2, k + 2))
+    derived = step_formulas(parse_proof(text + f"qed {k + 1}\n"))
+    assert [_distinct_nodes(f) for f in derived[1:]] == [2 ** (n + 1) + 2 for n in range(1, k + 1)]
 
 
 def test_instantiate_k():
