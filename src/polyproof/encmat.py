@@ -58,6 +58,8 @@ class SymbolicRing:
     def one(self) -> MPoly:
         return MPoly.one()
 
+    lincomb = staticmethod(MPoly.lincomb)
+
     def div_by_var(self, x: MPoly, v: VarId) -> MPoly:
         return x.div_exact_by_var(v)
 
@@ -80,6 +82,9 @@ class FieldRing:
 
     def one(self) -> FieldElem:
         return self.field.one
+
+    def lincomb(self, pairs) -> FieldElem:  # the sum of c * e, reduced once
+        return FieldElem(sum(c * e.value for c, e in pairs), self.field)
 
     def div_by_var(self, x: FieldElem, v: VarId) -> FieldElem:
         return x * self.var(v).inv()

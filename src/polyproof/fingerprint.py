@@ -7,16 +7,21 @@ A formula tree encodes recursively as
     [leaf x]          = A(X)
     [c(T1, ..., Td)]  = A(C) + A(C1)[T1] + ... + A(Cd)[Td]
 
-which assigns one monomial per tree node: the product of the edge
-variables along the root-to-node path times the node's vertex variable.
+With P(u) the product of the edge variables on the path from the root to
+node u, each entry is a sum with one term per node:
+
+    [f] = (sum_u P(u) x_vertex(u), sum_u P(u) |subtree(u)|, #nodes)
+
+so ``encode_fingerprint`` walks the tree once, without recursion, at one
+ring product per node: P(child) = P(u) x_edge.
 Distinct formulas get distinct matrices up to 6 nodes; from 7 nodes on the
 encoding is slightly coarser than formula identity (see README, "Known
 limitation").
 
 A fingerprint extends the encoding with one helper matrix per tracked
-arity-0 symbol x: the sum of the path products leading to the x-leaves
-(the identity for the single-node formula x, the zero matrix when x does
-not occur).  Modus ponens reads no helper and substituting x reads only
+arity-0 symbol x: (sum of P(l) over the x-leaves l, sum_u P(u) times the
+x-leaves strictly below u, #x-leaves), the zero matrix when x does not
+occur.  Modus ponens reads no helper and substituting x reads only
 the helper of x, so a field replay tracks exactly the variables that some
 subst step replaces, and no helper at all for a proof without substitution.
 The exact symbolic replay tracks every atom: in the polynomial ring each
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .encmat import EncMatrix, elem, elem_inv_mul, identity, zero_matrix
+from .encmat import EncMatrix, elem, elem_inv_mul
 from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
 from .mpoly import VarId
 
@@ -129,26 +134,44 @@ def encode(f: Formula, alloc: VarAllocation, ring) -> EncMatrix:
 def encode_fingerprint(
     f: Formula, alloc: VarAllocation, ring, tracked: Iterable[str]
 ) -> Fingerprint:
+    """The closed form above, from one walk.  Variables are read in preorder,
+    each edge's just before its child, so a ring missing several values
+    names the first one the recursive definition reaches."""
     tracked = sorted(set(tracked))
-
-    def rec(node: Formula):
-        main = elem(alloc.vid(node.root, 0), ring)
-        if not node.children:
-            helpers = {
-                t: identity(ring) if t == node.root else zero_matrix(ring)
-                for t in tracked
-            }
-            return main, helpers
-        helpers = {t: zero_matrix(ring) for t in tracked}
-        for slot, child in enumerate(node.children, 1):
-            edge = elem(alloc.vid(node.root, slot), ring)
-            child_main, child_helpers = rec(child)
-            main = main + edge * child_main
-            for t in tracked:
-                helpers[t] = helpers[t] + edge * child_helpers[t]
-        return main, helpers
-
-    main, helpers = rec(f)
+    vertex: Dict[VarId, tuple] = {}  # vertex variable: (value, [(1, P(u))])
+    sized, nodes = [], 0  # (|subtree(u)|, P(u)); nodes entered so far
+    leaves = {t: [] for t in tracked}  # (1, P(l)) per t-leaf l
+    below = {t: [] for t in tracked}  # (#t-leaves under u, P(u)) per inner u
+    stack = [(f, ring.one(), None)]
+    while stack:
+        node, p, edge = stack.pop()
+        if node is None:  # p's subtree is done; edge holds the counts at its start
+            sized.append((nodes - edge[0], p))
+            for (t, seen), n in zip(leaves.items(), edge[1:]):
+                if len(seen) > n:
+                    below[t].append((len(seen) - n, p))
+            continue
+        nodes += 1
+        p = p if edge is None else p * ring.var(edge)
+        v = alloc.vid(node.root, 0)
+        if v not in vertex:
+            vertex[v] = (ring.var(v), [])
+        vertex[v][1].append((1, p))
+        if node.children:
+            stack.append((None, p, [nodes - 1, *map(len, leaves.values())]))
+        else:
+            sized.append((1, p))
+            if node.root in leaves:
+                leaves[node.root].append((1, p))
+        for slot in range(len(node.children), 0, -1):
+            stack.append((node.children[slot - 1], p, alloc.vid(node.root, slot)))
+    lc, one = ring.lincomb, ring.one()
+    main = EncMatrix(
+        lc([(1, x * lc(ps)) for x, ps in vertex.values()]), lc(sized), lc([(nodes, one)])
+    )
+    helpers = {
+        t: EncMatrix(lc(leaves[t]), lc(below[t]), lc([(len(leaves[t]), one)])) for t in tracked
+    }
     return Fingerprint(main, helpers)
 
 

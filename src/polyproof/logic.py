@@ -117,6 +117,19 @@ def neg(a: Formula) -> Formula:
     return Formula(NOT, (a,))
 
 
+def same_formula(a: Formula, b: Formula) -> bool:
+    """Structural equality, without recursion, comparing each pair of nodes once."""
+    seen, stack = set(), [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is not y and (id(x), id(y)) not in seen:
+            if x.root != y.root or len(x.children) != len(y.children):
+                return False
+            seen.add((id(x), id(y)))
+            stack.extend(zip(x.children, y.children))
+    return True
+
+
 def node_count(f: Formula) -> int:
     return 1 + sum(node_count(c) for c in f.children)
 
@@ -562,7 +575,7 @@ def step_formulas(script: ProofScript, *, partial: bool = False) -> List[Formula
             elif isinstance(step, MPStep):
                 hyp = derived[step.hyp - 1]
                 impl = derived[step.imp - 1]
-                if impl.root != IMPLIES or impl.children[0] != hyp:
+                if impl.root != IMPLIES or not same_formula(impl.children[0], hyp):
                     if partial:  # spare printing formulas of any tree size
                         return derived
                     raise MPShapeMismatch(
@@ -586,6 +599,6 @@ def run_classical(script: ProofScript) -> Formula:
     """Execute the script syntactically; returns the goal on success."""
     derived = step_formulas(script)
     concluded = derived[script.qed - 1]
-    if concluded != script.goal:
+    if not same_formula(concluded, script.goal):
         raise GoalMismatch(f"proved {concluded}, goal was {script.goal}")
     return concluded

@@ -106,6 +106,15 @@ class MPoly:
                     terms.pop(mono, None)
         return MPoly(terms)
 
+    @staticmethod
+    def lincomb(pairs) -> "MPoly":
+        """The sum of c * poly over (int c, MPoly poly) pairs, merged in one pass."""
+        terms: dict = {}
+        for c, poly in pairs:
+            for m, k in poly._terms.items():
+                terms[m] = terms.get(m, 0) + c * k
+        return MPoly(terms)
+
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented

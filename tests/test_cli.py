@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -353,6 +354,23 @@ def test_verify_field_wrong_mp_after_self_substitution_terminates(capsys, tmp_pa
     code, out, _ = run(capsys, "verify", str(proof), "--mode", "field", "--seed", "01")
     assert code == 1
     assert "d-bound 65" in out
+
+
+def test_verify_field_mp_over_equal_dags_built_apart(capsys, tmp_path):
+    # Steps 7-12 rebuild dbl5, so the mp at step 15 compares two DAGs
+    # built apart, whose trees have 3^32 leaves each.
+    steps = ["7 axiom K { alpha = x, beta = x }"]
+    steps += [f"{n} subst {n - 1} x step {n - 1}" for n in range(8, 13)]
+    steps += ["13 axiom K { alpha = y, beta = y }", "14 subst 13 y step 12", "15 mp 6 14"]
+    text = dbl_text(5).replace("goal (x -> (x -> x))", "goal (y -> (y -> y))")
+    proof = tmp_path / "dbl5twice.proof"
+    proof.write_text(text.replace("qed 6\n", "\n".join(steps) + "\nqed 15\n"))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(proof), "--mode", "field", "--seed", "01")
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert "d-bound 67" in out
+    assert "verdict=reject" in out
 
 
 def test_prime_needs_a_field_point(capsys):

@@ -19,6 +19,7 @@ from polyproof.fingerprint import (
 )
 from polyproof.logic import (
     AXIOM_SCHEMES,
+    Formula,
     Signature,
     atom,
     imp,
@@ -332,3 +333,73 @@ def test_encoding_collision_at_seven_nodes():
     h1 = imp(imp(x, neg(y)), imp(x, x))
     h2 = imp(imp(x, x), imp(neg(y), x))
     assert encode(h1, alloc, RING) != encode(h2, alloc, RING)
+
+
+def reference_encode_fingerprint(f, alloc, ring, tracked):
+    """The recursive definition, one matrix product per edge and helper."""
+    tracked = sorted(set(tracked))
+
+    def rec(node):
+        main = elem(alloc.vid(node.root, 0), ring)
+        if not node.children:
+            helpers = {t: identity(ring) if t == node.root else zero_matrix(ring) for t in tracked}
+            return main, helpers
+        helpers = {t: zero_matrix(ring) for t in tracked}
+        for slot, child in enumerate(node.children, 1):
+            edge = elem(alloc.vid(node.root, slot), ring)
+            child_main, child_helpers = rec(child)
+            main = main + edge * child_main
+            for t in tracked:
+                helpers[t] = helpers[t] + edge * child_helpers[t]
+        return main, helpers
+
+    return rec(f)
+
+
+# Function symbols g/1 and h/3, metavariable leaves, and the atom w,
+# declared but never drawn, so a tracked w is absent from every formula.
+fn_formulas = st.recursive(
+    st.sampled_from([atom(n) for n in ("x", "y", "z", "alpha", "beta")]),
+    lambda inner: st.one_of(
+        inner.map(neg),
+        st.tuples(inner, inner).map(lambda ab: imp(*ab)),
+        inner.map(lambda a: Formula("g", (a,))),
+        st.tuples(inner, inner, inner).map(lambda abc: Formula("h", abc)),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150)
+@given(
+    fn_formulas,
+    st.sets(st.sampled_from(["x", "y", "z", "w", "alpha", "beta", "gamma"])),
+    st.sampled_from([None, 3, 5, (1 << 61) - 1]),
+    st.integers(0, 10**9),
+)
+def test_closed_form_encoding_matches_matrix_products(f, tracked, prime, salt):
+    # At p = 3 and 5 entries and whole helpers vanish mod p.
+    _, alloc = make_alloc(extra=(("w", 0), ("g", 1), ("h", 3)))
+    if prime is None:
+        ring = RING
+    else:
+        rng = random.Random(salt)
+        field = PrimeField(prime)
+        ring = FieldRing(field, {v: field.elem(rng.randrange(2, prime)) for v in range(alloc.size)})
+    for g in (f, imp(f, f)):
+        fp = encode_fingerprint(g, alloc, ring, tracked)
+        assert (fp.main, fp.helpers) == reference_encode_fingerprint(g, alloc, ring, tracked)
+
+
+def test_encoding_depth_costs_no_stack():
+    _, alloc = make_alloc()
+    deep = atom("x")
+    for _ in range(5000):
+        deep = neg(deep)
+    field = PrimeField((1 << 61) - 1)
+    fring = FieldRing(field, {v: field.elem(v + 2) for v in range(alloc.size)})
+    sym = encode_fingerprint(deep, alloc, RING, ("x", "y"))
+    assert sym.main.d.constant_value() == 5001 and sym.helpers["x"].d.constant_value() == 1
+    nat = encode_fingerprint(deep, alloc, fring, ("x", "y"))
+    assert nat.main.d.value == 5001 and nat.helpers["x"].d.value == 1
+    assert sym.helpers["y"] == zero_matrix(RING) and nat.helpers["y"] == zero_matrix(fring)

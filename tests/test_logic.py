@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from polyproof.logic import (
     parse_formula,
     parse_proof,
     run_classical,
+    same_formula,
     step_formulas,
     subst_syntactic,
 )
@@ -284,3 +287,39 @@ def test_run_classical_subst_fixtures():
     for name in ("subst_demo", "subst_step", "contrapose_fn"):
         script = parse_proof(load_proof_text(name))
         assert run_classical(script) == script.goal
+
+
+@given(formulas, formulas)
+def test_same_formula_is_structural_equality(f, g):
+    assert same_formula(f, g) == (f == g)
+    assert same_formula(imp(f, g), imp(f, g)) and same_formula(f, f)
+
+
+def test_same_formula_compares_equal_dags_built_apart():
+    def doubled(n, leaf):  # 2**n leaves, n + 1 distinct nodes
+        f = leaf
+        for _ in range(n):
+            f = imp(f, f)
+        return f
+
+    assert same_formula(doubled(100, atom("x")), doubled(100, atom("x")))
+    assert not same_formula(doubled(100, atom("x")), doubled(100, atom("y")))
+    deep = [atom("x"), atom("x")]
+    for _ in range(5000):
+        deep = [neg(f) for f in deep]
+    assert same_formula(*deep)
+
+
+def test_mp_and_goal_checks_on_equal_dags_built_apart():
+    # dbl5 is derived twice; the mp at step 15 and the goal check compare
+    # separately built DAGs whose trees have 3^32 leaves.
+    dbl = ["axiom K { alpha = x, beta = x }"] + [f"subst {n} x step {n}" for n in range(1, 6)]
+    again = ["axiom K { alpha = x, beta = x }"] + [f"subst {n} x step {n}" for n in range(7, 12)]
+    tail = ["axiom K { alpha = y, beta = y }", "subst 13 y step 12", "mp 6 14"]
+    lines = [f"{n} {s}" for n, s in enumerate(dbl + again + tail, 1)]
+    text = 'proof "dbl5twice"\ngoal (y -> (y -> y))\n' + "\n".join(lines) + "\nqed 15\n"
+    script = parse_proof(text)
+    derived = step_formulas(script)
+    assert derived[14].root == "->" and derived[14].children[0] is derived[11]
+    goal = step_formulas(parse_proof(text))[14]
+    assert same_formula(run_classical(replace(script, goal=goal)), goal)
