@@ -127,10 +127,8 @@ def cmd_encode(args) -> int:
         raise MissingAssignment(alloc.display(exc.var)) from None
     print(f"formula {formula}")
     print(f"prime {assignment.field.p}")
-    print(f"main=[{fp.main.a.value}, {fp.main.b.value}, {fp.main.d.value}]")
-    helpers = ", ".join(
-        f"{t}:[{h.a.value}, {h.b.value}, {h.d.value}]" for t, h in sorted(fp.helpers.items())
-    )
+    print(f"main={fp.main}")
+    helpers = ", ".join(f"{t}:{h}" for t, h in sorted(fp.helpers.items()))
     print(f"helpers={{{helpers}}}")
     return 0
 

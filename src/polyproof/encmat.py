@@ -3,7 +3,8 @@
 Only the entries (1,1), (1,2) and (2,2) are stored, as ``a``, ``b`` and
 ``d``; the (2,1) entry is zero by construction and cannot be falsified.
 The same matrix type serves two rings: exact polynomials (``SymbolicRing``)
-and a prime field under a fixed variable assignment (``FieldRing``).
+and ints in [0, p) under a fixed variable assignment (``FieldRing``).  Matrix
+``+``, ``-`` and ``*`` do not reduce mod p; the ring's ``reduce`` does.
 
 The elementary matrix of a variable v is A(v) = [[x_v, 1], [0, 1]].
 Products of elementary matrices embed sequences of variables faithfully:
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Mapping
 
-from .ffield import FieldElem, PrimeField
+from .ffield import FieldElem, PrimeField, ZeroInverse
 from .mpoly import MPoly, MissingAssignment, NotDivisible, VarId
 
 
@@ -45,6 +46,12 @@ class EncMatrix:
             self.d * other.d,
         )
 
+    def __mod__(self, p: int) -> "EncMatrix":
+        return EncMatrix(self.a % p, self.b % p, self.d % p)
+
+    def __str__(self):
+        return f"[{self.a}, {self.b}, {self.d}]"
+
 
 class SymbolicRing:
     """Coefficients are exact integer polynomials."""
@@ -60,34 +67,47 @@ class SymbolicRing:
 
     lincomb = staticmethod(MPoly.lincomb)
 
+    def reduce(self, x):  # an entry or a matrix; exact, so nothing to reduce
+        return x
+
     def div_by_var(self, x: MPoly, v: VarId) -> MPoly:
         return x.div_exact_by_var(v)
 
 
 class FieldRing:
-    """Coefficients are field elements under a fixed variable assignment."""
+    """Coefficients are ints in [0, p) under a fixed variable assignment; the
+    inverse of each divisor is computed once per ring, so once per run."""
 
     def __init__(self, field: PrimeField, values: Mapping[VarId, FieldElem]):
         self.field = field
-        self.values = values
+        self.p = field.p
+        self.values = {v: e.value for v, e in values.items()}
+        self._inverse = {}
 
-    def var(self, v: VarId) -> FieldElem:
+    def var(self, v: VarId) -> int:
         try:
             return self.values[v]
         except KeyError:
             raise MissingAssignment(v) from None
 
-    def zero(self) -> FieldElem:
-        return self.field.zero
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> FieldElem:
-        return self.field.one
+    def one(self) -> int:
+        return 1
 
-    def lincomb(self, pairs) -> FieldElem:  # the sum of c * e, reduced once
-        return FieldElem(sum(c * e.value for c, e in pairs), self.field)
+    def reduce(self, x):  # an entry or a matrix, into [0, p)
+        return x % self.p
 
-    def div_by_var(self, x: FieldElem, v: VarId) -> FieldElem:
-        return x * self.var(v).inv()
+    def lincomb(self, pairs) -> int:  # the sum of c * e, reduced once
+        return sum(c * e for c, e in pairs) % self.p
+
+    def div_by_var(self, x: int, v: VarId) -> int:
+        if v not in self._inverse:
+            if not self.var(v):
+                raise ZeroInverse("0 has no multiplicative inverse")
+            self._inverse[v] = pow(self.var(v), -1, self.p)
+        return x * self._inverse[v] % self.p
 
 
 def elem(v: VarId, ring) -> EncMatrix:
@@ -113,7 +133,7 @@ def elem_inv_mul(v: VarId, m: EncMatrix, ring) -> EncMatrix:
     return EncMatrix(
         ring.div_by_var(m.a, v),
         ring.div_by_var(m.b - m.d, v),
-        m.d,
+        ring.reduce(m.d),
     )
 
 

@@ -152,7 +152,7 @@ def encode_fingerprint(
                     below[t].append((len(seen) - n, p))
             continue
         nodes += 1
-        p = p if edge is None else p * ring.var(edge)
+        p = p if edge is None else ring.reduce(p * ring.var(edge))
         v = alloc.vid(node.root, 0)
         if v not in vertex:
             vertex[v] = (ring.var(v), [])
@@ -211,13 +211,11 @@ def hom_subst(
         raise UntrackedVariable("fingerprints track different variable sets")
     leaf = elem(alloc.vid(var, 0), ring)
     hv = fp_src.helpers[var]
-    main = fp_src.main - hv * leaf + hv * fp_repl.main
+    main = ring.reduce(fp_src.main - hv * leaf + hv * fp_repl.main)
     helpers = {}
     for x in fp_src.helpers:
-        if x == var:
-            helpers[x] = hv * fp_repl.helpers[x]
-        else:
-            helpers[x] = fp_src.helpers[x] + hv * fp_repl.helpers[x]
+        graft = hv * fp_repl.helpers[x]
+        helpers[x] = ring.reduce(graft if x == var else fp_src.helpers[x] + graft)
     return Fingerprint(main, helpers)
 
 

@@ -92,17 +92,29 @@ class Formula:
     children: Tuple["Formula", ...] = ()
 
     def __str__(self):
-        if self.root == IMPLIES:
-            return f"({self.children[0]} -> {self.children[1]})"
-        if self.root == NOT:
-            return f"!{self.children[0]}"
-        if not self.children:
-            return self.root
-        args = ", ".join(str(c) for c in self.children)
-        return f"{self.root}({args})"
+        return formula_text(self, None)
 
     def __repr__(self):
         return f"Formula({str(self)!r})"
+
+
+def formula_text(f: Formula, limit: Optional[int] = 200) -> str:
+    """``str(f)`` without recursion, cut after ``limit`` characters with "..."."""
+    out, size, stack = [], 0, [f]
+    while stack and (limit is None or size <= limit):
+        x = stack.pop()
+        if isinstance(x, str) or not x.children:
+            out.append(x if isinstance(x, str) else x.root)
+            size += len(out[-1])
+        elif x.root == IMPLIES:
+            stack += [")", x.children[1], " -> ", x.children[0], "("]
+        elif x.root == NOT:
+            stack += [x.children[0], "!"]
+        else:
+            args = [part for c in reversed(x.children) for part in (c, ", ")][:-1]
+            stack += [")", *args, "(", x.root]
+    text = "".join(out)
+    return text if limit is None or size <= limit else text[:limit] + "..."
 
 
 def atom(name: str) -> Formula:
@@ -576,10 +588,11 @@ def step_formulas(script: ProofScript, *, partial: bool = False) -> List[Formula
                 hyp = derived[step.hyp - 1]
                 impl = derived[step.imp - 1]
                 if impl.root != IMPLIES or not same_formula(impl.children[0], hyp):
-                    if partial:  # spare printing formulas of any tree size
+                    if partial:
                         return derived
                     raise MPShapeMismatch(
-                        f"step {len(derived) + 1}: {impl} does not follow from {hyp} by mp"
+                        f"step {len(derived) + 1}: {formula_text(impl)} "
+                        f"does not follow from {formula_text(hyp)} by mp"
                     )
                 f = impl.children[1]
             else:
@@ -600,5 +613,6 @@ def run_classical(script: ProofScript) -> Formula:
     derived = step_formulas(script)
     concluded = derived[script.qed - 1]
     if not same_formula(concluded, script.goal):
-        raise GoalMismatch(f"proved {concluded}, goal was {script.goal}")
+        proved, goal = formula_text(concluded), formula_text(script.goal)
+        raise GoalMismatch(f"proved {proved}, goal was {goal}")
     return concluded

@@ -180,23 +180,15 @@ class Transcript:
             if self.repeats > 1:
                 lines.append(f"repeat {r}")
             for rec in run.records:
-                helpers = ", ".join(
-                    f"{name}:{_fmt_matrix(mat)}"
-                    for name, mat in sorted(rec.fingerprint.helpers.items())
-                )
+                helpers = ", ".join(f"{t}:{m}" for t, m in sorted(rec.fingerprint.helpers.items()))
                 lines.append(
                     f"step {rec.index} {rec.kind} "
-                    f"main={_fmt_matrix(rec.fingerprint.main)} helpers={{{helpers}}}"
+                    f"main={rec.fingerprint.main} helpers={{{helpers}}}"
                 )
             if self.repeats > 1:
-                lines.append(
-                    f"alpha1={_fmt_matrix(run.alpha1)} alpha2={_fmt_matrix(run.alpha2)}"
-                )
+                lines.append(f"alpha1={run.alpha1} alpha2={run.alpha2}")
         first = self.runs[0]
-        lines.append(
-            f"alpha1={_fmt_matrix(first.alpha1)} alpha2={_fmt_matrix(first.alpha2)} "
-            f"verdict={self.verdict}"
-        )
+        lines.append(f"alpha1={first.alpha1} alpha2={first.alpha2} verdict={self.verdict}")
         return "\n".join(lines) + "\n"
 
 
@@ -341,7 +333,3 @@ def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -
 def _epsilon(d: int, p: int, repeats: int) -> Fraction:
     per_run = min(Fraction(1), Fraction(d, p - 2))
     return per_run**repeats
-
-
-def _fmt_matrix(m: EncMatrix) -> str:
-    return f"[{m.a.value}, {m.b.value}, {m.d.value}]"

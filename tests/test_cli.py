@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyproof.cli import main
+from polyproof.ffield import MERSENNE61
+from polyproof.logic import parse_proof
 
 from .conftest import PROOF_DIR, atom_swap_text, load_proof_text
 
@@ -443,6 +446,8 @@ _FUZZ_FLAGS = (
     ["--seed", "01", "--mode", "field", "--strict"],
     ["--mode", "symbolic"],
     ["--seed", "01", "--tamper-step", "2"],
+    ["--seed", "01", "--prime", "3"],
+    ["--seed", "01", "--prime", "5", "--mode", "field", "--repeats", "2"],
 )
 
 
@@ -454,3 +459,78 @@ def test_verify_fuzz_exits_by_contract(tmp_path_factory, text, flags):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", str(proof), *flags])
     assert code in (0, 1, 2)
+
+
+def output_digest(*runs):
+    """sha256 over the exit code and stdout of each cli run, in order."""
+    digest = hashlib.sha256()
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        digest.update(f"{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def fixture_verify_runs(name, prime, repeats):
+    """Default-mode verify of a fixture, untampered and at every --tamper-step."""
+    path = str(PROOF_DIR / f"{name}.proof")
+    steps = len(parse_proof(load_proof_text(name)).steps)
+    flags = ["--seed", "a1", "--prime", str(prime), "--repeats", str(repeats)]
+    return [["verify", path, *flags, *tamper]
+            for tamper in [[]] + [["--tamper-step", str(k)] for k in range(1, steps + 1)]]
+
+
+# Digests of the output before field entries became plain ints: transcripts
+# and encodings must stay byte-identical across such representation changes.
+VERIFY_DIGESTS = {
+    ("imp_refl", 101, 1):
+        "486ad4d0feed552251cda2527861fde2a5a5e0c2c32176d64577ea98e70989a5",
+    ("imp_refl", 101, 3):
+        "8277ad6033665905e6a6c17cc1f95f52979fa81b2d1c583e72c0a9479610ee0c",
+    ("imp_refl", MERSENNE61, 1):
+        "9e2cdbc7451b2fe1c84f0a29e539e5ce990ee83ad5eb1ccc6d4729239aa520cc",
+    ("imp_refl", MERSENNE61, 3):
+        "7c6091dfb395953c28ee5f75a84b59d19e574d99e52e917a906170ce48a2d7ab",
+    ("subst_demo", 101, 1):
+        "9d5d088a6f39cc8ad702a409d171bdd7a76038958e2d4fe34c173234d51791ce",
+    ("subst_demo", 101, 3):
+        "d3e672750917cd84b76ecf87e3d4f455246610f47ef87e91ba18e4e53c064c21",
+    ("subst_demo", MERSENNE61, 1):
+        "35f9533955e351244f8e613e8df6186223ea302bcdf0030f1e11bf3c9e8e60a8",
+    ("subst_demo", MERSENNE61, 3):
+        "f2e5226eca31813a36ee8659d211f38e57bfc299e41407adbf6f130f6385d29c",
+    ("subst_step", 101, 1):
+        "8cc581d2e60eb2ab59af51a8a2b2b37815e00e5e6b3c13ec4c05b7dc65a6991f",
+    ("subst_step", 101, 3):
+        "97a62c21c602e089bfdc0fbcc7ca7c13333058f2758491cc4eab3360b9000164",
+    ("subst_step", MERSENNE61, 1):
+        "4d25892431134df10db552cf02ff7f8a2fef745de6c58207830c1c6838c1ede7",
+    ("subst_step", MERSENNE61, 3):
+        "fc0adf1832ee7f50546725a46cc318312a97b990eb5bd6b87a1c5d89fc8b99b6",
+    ("contrapose_fn", 101, 1):
+        "9cd68433869e12de93280f3f527c8da2a21b391743a91fa5c104ee7c61ed46cd",
+    ("contrapose_fn", 101, 3):
+        "bd664ee942f5718168d7c8a2eca29b1df9b6be8a6ccada0e932b2447c891ff4e",
+    ("contrapose_fn", MERSENNE61, 1):
+        "ff40051f6e019b5a2538cd3a719e0e81b3cc9832a800a92f5952617c036db117",
+    ("contrapose_fn", MERSENNE61, 3):
+        "a7752ff196e7bd35590bfdd4559c01782695597f5865fe873fd46f0b2ea4bcec",
+}
+ENCODE_DIGESTS = {
+    "((x -> y) -> (x -> z))": "34283df10da740126089b966c6dafc835647a31fa658292f0dc479a6f5ef41b3",
+    "!!(x -> !y)": "bd4f2da6396b1cf149c53b5dbbf212e5db24195cbe6fee0b3c0de7e6f5fb198c",
+    "(((x -> y) -> z) -> !(y -> x))":
+        "51c6ab05fe7cc8813f528d6f4a3eb4723e9074ea883cb687cc352d0856d54e2e",
+}
+
+
+@pytest.mark.parametrize("name, prime, repeats", sorted(VERIFY_DIGESTS))
+def test_verify_output_matches_recorded_digest(name, prime, repeats):
+    runs = fixture_verify_runs(name, prime, repeats)
+    assert output_digest(*runs) == VERIFY_DIGESTS[name, prime, repeats]
+
+
+@pytest.mark.parametrize("formula", sorted(ENCODE_DIGESTS))
+def test_encode_output_matches_recorded_digest(formula):
+    assert output_digest(["encode", formula, "--seed", "01"]) == ENCODE_DIGESTS[formula]

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,7 @@ from polyproof.logic import (
     UnknownSymbol,
     _substitute,
     atom,
+    formula_text,
     imp,
     instantiate_axiom,
     neg,
@@ -310,16 +312,65 @@ def test_same_formula_compares_equal_dags_built_apart():
     assert same_formula(*deep)
 
 
-def test_mp_and_goal_checks_on_equal_dags_built_apart():
-    # dbl5 is derived twice; the mp at step 15 and the goal check compare
-    # separately built DAGs whose trees have 3^32 leaves.
+def dbl5_twice_text():
+    """dbl5 derived twice, steps 1-6 and 7-12; the mp at step 15 concludes a
+    formula whose tree has 3^32 leaves, not the goal."""
     dbl = ["axiom K { alpha = x, beta = x }"] + [f"subst {n} x step {n}" for n in range(1, 6)]
     again = ["axiom K { alpha = x, beta = x }"] + [f"subst {n} x step {n}" for n in range(7, 12)]
     tail = ["axiom K { alpha = y, beta = y }", "subst 13 y step 12", "mp 6 14"]
     lines = [f"{n} {s}" for n, s in enumerate(dbl + again + tail, 1)]
-    text = 'proof "dbl5twice"\ngoal (y -> (y -> y))\n' + "\n".join(lines) + "\nqed 15\n"
+    return 'proof "dbl5twice"\ngoal (y -> (y -> y))\n' + "\n".join(lines) + "\nqed 15\n"
+
+
+def test_mp_and_goal_checks_on_equal_dags_built_apart():
+    # dbl5 is derived twice; the mp at step 15 and the goal check compare
+    # separately built DAGs whose trees have 3^32 leaves.
+    text = dbl5_twice_text()
     script = parse_proof(text)
     derived = step_formulas(script)
     assert derived[14].root == "->" and derived[14].children[0] is derived[11]
     goal = step_formulas(parse_proof(text))[14]
     assert same_formula(run_classical(replace(script, goal=goal)), goal)
+
+
+def test_mismatch_messages_quote_large_formulas_briefly():
+    # Each message quotes at most 200 characters of a formula, so it costs
+    # no walk of a 3^32-leaf tree; short formulas are quoted in full.
+    script = parse_proof(dbl5_twice_text())
+    start = time.perf_counter()
+    goal = r"goal was \(y -> \(y -> y\)\)$"
+    with pytest.raises(GoalMismatch, match=r"^proved \(.{199}\.\.\., " + goal):
+        run_classical(script)
+    wrong_mp = replace(script, steps=script.steps + (MPStep(6, 6),), qed=16)
+    with pytest.raises(MPShapeMismatch, match=r"^step 16: \(.{199}\.\.\. does not follow from"):
+        run_classical(wrong_mp)
+    assert time.perf_counter() - start < 2
+
+
+def _recursive_text(f):
+    if f.root == "->":
+        return f"({_recursive_text(f.children[0])} -> {_recursive_text(f.children[1])})"
+    if f.root == "!":
+        return "!" + _recursive_text(f.children[0])
+    if not f.children:
+        return f.root
+    return f"{f.root}({', '.join(map(_recursive_text, f.children))})"
+
+
+fn_formulas = st.recursive(
+    st.sampled_from([atom("x"), atom("y"), atom("c")]),
+    lambda inner: st.one_of(
+        inner.map(neg),
+        st.tuples(inner, inner).map(lambda ab: imp(*ab)),
+        inner.map(lambda a: Formula("g", (a,))),
+        st.tuples(inner, inner, inner).map(lambda abc: Formula("h", abc)),
+    ),
+    max_leaves=16,
+)
+
+
+@given(fn_formulas, st.integers(0, 80))
+def test_formula_text_matches_recursive_reference(f, limit):
+    text = _recursive_text(f)
+    assert str(f) == formula_text(f, None) == text
+    assert formula_text(f, limit) == (text if len(text) <= limit else text[:limit] + "...")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polyproof.cli import _tamper
-from polyproof.encmat import SymbolicRing
+from polyproof.encmat import EncMatrix, SymbolicRing
 from polyproof.ffield import MERSENNE61, PrimeField
 from polyproof.fingerprint import VarAllocation
 from polyproof.logic import (
@@ -115,6 +115,39 @@ def test_symbolic_replay_needs_every_helper():
             for strict in (False, True):
                 report = verify_symbolic(script, strict=strict)
                 assert report.failure.startswith("malformed step"), name
+
+
+def symbolic_prefix(script, alloc):
+    """The exact replay's records, up to its first failed exact division."""
+    for k in range(len(script.steps), 0, -1):
+        try:
+            prefix = replace(script, steps=script.steps[:k])
+            return propagate(prefix, alloc, SymbolicRing(), script_atoms(script))[0]
+        except NotDivisible:
+            continue
+    return []
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7, 101, MERSENNE61])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_field_steps_are_symbolic_steps_evaluated(name, prime):
+    # At every step the exact replay gets through, the field fingerprint is
+    # the symbolic one evaluated at the run's point, entries in [0, p); on
+    # every fixture, tamper variant and same-size atom swap.
+    field = PrimeField(prime)
+    for base in [fixture(name)] + atom_swap_variants(name):
+        for script in [base] + [_tamper(base, k) for k in range(1, len(base.steps) + 1)]:
+            alloc = VarAllocation(script.signature)
+            point = Assignment.from_seed(SEED1, field, alloc)
+
+            def ev(m):
+                return EncMatrix(*(e.eval(point.values, field).value for e in (m.a, m.b, m.d)))
+
+            records, _ = propagate(script, alloc, point.ring(), tracked_atoms(script))
+            for rec, sym in zip(records, symbolic_prefix(script, alloc)):
+                assert rec.fingerprint.main == ev(sym.fingerprint.main), (rec.index, script)
+                for t, helper in rec.fingerprint.helpers.items():
+                    assert helper == ev(sym.fingerprint.helpers[t]), (rec.index, t, script)
 
 
 def test_tampered_binding_rejected():
