@@ -23,7 +23,6 @@ from .ffield import (
 from .fingerprint import (
     Fingerprint,
     UnallocatedSymbol,
-    UntrackedVariable,
     VarAllocation,
     degree_bound,
     encode,

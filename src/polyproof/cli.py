@@ -39,9 +39,8 @@ def _parse_seed(text: str) -> bytes:
     return raw.rjust(32, b"\x00")
 
 
-def _fiat_shamir_seed(goal: Formula, prime: int, proof_name: str) -> bytes:
-    material = f"{goal}\n{prime}\n{proof_name}".encode()
-    return hashlib.sha256(material).digest()
+def _fiat_shamir_seed(proof: bytes, prime: int) -> bytes:
+    return hashlib.sha256(proof + f"\n{prime}".encode()).digest()
 
 
 def _load_assignment(args, alloc: VarAllocation) -> Assignment:
@@ -128,7 +127,7 @@ def cmd_encode(args) -> int:
     print(f"formula {formula}")
     print(f"prime {assignment.field.p}")
     print(f"main={fp.main}")
-    helpers = ", ".join(f"{t}:{h}" for t, h in sorted(fp.helpers.items()))
+    helpers = ", ".join(f"{t}:{fp.helpers[t]}" for t in tracked)
     print(f"helpers={{{helpers}}}")
     return 0
 
@@ -184,7 +183,7 @@ def cmd_verify(args) -> int:
         else:
             field = PrimeField(args.prime if args.prime is not None else MERSENNE61)
             if args.fiat_shamir:
-                seed = _fiat_shamir_seed(script.goal, field.p, script.name)
+                seed = _fiat_shamir_seed(text.encode(), field.p)
             elif args.seed is not None:
                 seed = _parse_seed(args.seed)
             else:
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--strict", action="store_true",
                      help="cross-check axiom fingerprints against the template route")
     ver.add_argument("--fiat-shamir", action="store_true",
-                     help="derive the seed from goal, prime and proof name (no "
+                     help="derive the seed from the proof text and the prime (no "
                           "non-interactive security claim)")
     ver.add_argument("--tamper-step", type=int, default=None,
                      help="test hook: corrupt the given step before verifying")

@@ -63,7 +63,7 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """GF(p) for a prime modulus p with 3 <= p < 2**63."""
 
-    __slots__ = ("p", "zero", "one")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not 3 <= p < (1 << 63):
@@ -71,8 +71,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        self.zero = FieldElem(0, self)
-        self.one = FieldElem(1, self)
 
     def elem(self, value: int) -> "FieldElem":
         return FieldElem(value % self.p, self)

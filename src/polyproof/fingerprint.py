@@ -18,32 +18,29 @@ Distinct formulas get distinct matrices up to 6 nodes; from 7 nodes on the
 encoding is slightly coarser than formula identity (see README, "Known
 limitation").
 
-A fingerprint extends the encoding with one helper matrix per tracked
+A fingerprint extends the encoding with the helper matrix of each tracked
 arity-0 symbol x: (sum of P(l) over the x-leaves l, sum_u P(u) times the
-x-leaves strictly below u, #x-leaves), the zero matrix when x does not
-occur.  Modus ponens reads no helper and substituting x reads only
-the helper of x, so a field replay tracks exactly the variables that some
-subst step replaces, and no helper at all for a proof without substitution.
-The exact symbolic replay tracks every atom: in the polynomial ring each
-helper's division in hom_mp is also a check on the step.
+x-leaves strictly below u, #x-leaves).  Only nonzero helpers are stored; a
+missing one reads as zero.  Modus ponens reads no helper and substituting x
+reads only the helper of x, so a field replay tracks exactly the variables
+that some subst step replaces, and no helper at all for a proof without
+substitution.  The exact symbolic replay tracks every atom: in the
+polynomial ring each helper's division in hom_mp is also a check on the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Dict, Iterable, List, Tuple
 
-from .encmat import EncMatrix, elem, elem_inv_mul
+from .encmat import EncMatrix, elem, elem_inv_mul, zero_matrix
 from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
 from .mpoly import VarId
 
 
 class UnallocatedSymbol(Exception):
     """A formula symbol has no variables in the allocation."""
-
-
-class UntrackedVariable(Exception):
-    """A homomorphic operation needs a helper that was not tracked."""
 
 
 _BUILTIN_SLOTS = ((IMPLIES, ("I", "I1", "I2")), (NOT, ("N", "N1")))
@@ -115,15 +112,24 @@ class VarAllocation:
         return {nm: i for i, nm in enumerate(self._display)}
 
 
+class Helpers(dict):
+    """Helper matrices by atom, only the nonzero ones stored: a missing atom
+    reads as the ring's zero matrix, and reading it inserts nothing."""
+
+    def __init__(self, ring, pairs: Iterable[Tuple[str, EncMatrix]]):
+        super().__init__((t, m) for t, m in pairs if m.a or m.b or m.d)
+        self.ring = ring
+
+    def __missing__(self, atom: str) -> EncMatrix:
+        return zero_matrix(self.ring)
+
+
 @dataclass(frozen=True)
 class Fingerprint:
-    """The encoding of a formula plus one helper matrix per tracked symbol."""
+    """The encoding of a formula plus the nonzero helpers of tracked symbols."""
 
     main: EncMatrix
-    helpers: Dict[str, EncMatrix]
-
-    def restrict(self, tracked: Iterable[str]) -> "Fingerprint":
-        return Fingerprint(self.main, {k: self.helpers[k] for k in sorted(tracked)})
+    helpers: Helpers
 
 
 def encode(f: Formula, alloc: VarAllocation, ring) -> EncMatrix:
@@ -137,19 +143,19 @@ def encode_fingerprint(
     """The closed form above, from one walk.  Variables are read in preorder,
     each edge's just before its child, so a ring missing several values
     names the first one the recursive definition reaches."""
-    tracked = sorted(set(tracked))
+    tracked = set(tracked)
     vertex: Dict[VarId, tuple] = {}  # vertex variable: (value, [(1, P(u))])
     sized, nodes = [], 0  # (|subtree(u)|, P(u)); nodes entered so far
-    leaves = {t: [] for t in tracked}  # (1, P(l)) per t-leaf l
-    below = {t: [] for t in tracked}  # (#t-leaves under u, P(u)) per inner u
+    leaves = {}  # (1, P(l)) per t-leaf l, for the tracked atoms t met so far
+    below = {}  # (#t-leaves under u, P(u)) per inner u
     stack = [(f, ring.one(), None)]
     while stack:
         node, p, edge = stack.pop()
         if node is None:  # p's subtree is done; edge holds the counts at its start
             sized.append((nodes - edge[0], p))
-            for (t, seen), n in zip(leaves.items(), edge[1:]):
+            for (t, seen), n in zip_longest(leaves.items(), edge[1:], fillvalue=0):
                 if len(seen) > n:
-                    below[t].append((len(seen) - n, p))
+                    below.setdefault(t, []).append((len(seen) - n, p))
             continue
         nodes += 1
         p = p if edge is None else ring.reduce(p * ring.var(edge))
@@ -161,18 +167,18 @@ def encode_fingerprint(
             stack.append((None, p, [nodes - 1, *map(len, leaves.values())]))
         else:
             sized.append((1, p))
-            if node.root in leaves:
-                leaves[node.root].append((1, p))
+            if node.root in tracked:
+                leaves.setdefault(node.root, []).append((1, p))
         for slot in range(len(node.children), 0, -1):
             stack.append((node.children[slot - 1], p, alloc.vid(node.root, slot)))
     lc, one = ring.lincomb, ring.one()
     main = EncMatrix(
         lc([(1, x * lc(ps)) for x, ps in vertex.values()]), lc(sized), lc([(nodes, one)])
     )
-    helpers = {
-        t: EncMatrix(lc(leaves[t]), lc(below[t]), lc([(len(leaves[t]), one)])) for t in tracked
-    }
-    return Fingerprint(main, helpers)
+    return Fingerprint(main, Helpers(ring, (
+        (t, EncMatrix(lc(ps), lc(below.get(t, ())), lc([(len(ps), one)])))
+        for t, ps in leaves.items()
+    )))
 
 
 def hom_mp(fp_hyp: Fingerprint, fp_imp: Fingerprint, alloc: VarAllocation, ring) -> Fingerprint:
@@ -183,16 +189,14 @@ def hom_mp(fp_hyp: Fingerprint, fp_imp: Fingerprint, alloc: VarAllocation, ring)
     No structural check is made; a bad step either fails exact division
     (symbolic ring) or surfaces at the final comparison (field ring).
     """
-    if fp_hyp.helpers.keys() != fp_imp.helpers.keys():
-        raise UntrackedVariable("fingerprints track different variable sets")
     vertex = elem(alloc.vid(IMPLIES, 0), ring)
     left_edge = elem(alloc.vid(IMPLIES, 1), ring)
     right_var = alloc.vid(IMPLIES, 2)
     main = elem_inv_mul(right_var, fp_imp.main - vertex - left_edge * fp_hyp.main, ring)
-    helpers = {
-        x: elem_inv_mul(right_var, fp_imp.helpers[x] - left_edge * fp_hyp.helpers[x], ring)
-        for x in fp_imp.helpers
-    }
+    helpers = Helpers(ring, (
+        (x, elem_inv_mul(right_var, fp_imp.helpers[x] - left_edge * fp_hyp.helpers[x], ring))
+        for x in fp_imp.helpers.keys() | fp_hyp.helpers.keys()
+    ))
     return Fingerprint(main, helpers)
 
 
@@ -205,18 +209,14 @@ def hom_subst(
     subtracting helper * A(X_var) removes those leaves and adding
     helper * [repl] grafts the replacement onto every one of them.
     """
-    if var not in fp_src.helpers or var not in fp_repl.helpers:
-        raise UntrackedVariable(f"{var!r} is not tracked")
-    if fp_src.helpers.keys() != fp_repl.helpers.keys():
-        raise UntrackedVariable("fingerprints track different variable sets")
     leaf = elem(alloc.vid(var, 0), ring)
     hv = fp_src.helpers[var]
     main = ring.reduce(fp_src.main - hv * leaf + hv * fp_repl.main)
     helpers = {}
-    for x in fp_src.helpers:
+    for x in fp_src.helpers.keys() | fp_repl.helpers.keys():
         graft = hv * fp_repl.helpers[x]
         helpers[x] = ring.reduce(graft if x == var else fp_src.helpers[x] + graft)
-    return Fingerprint(main, helpers)
+    return Fingerprint(main, Helpers(ring, helpers.items()))
 
 
 def degree_bound(*formulas: Formula) -> int:
@@ -234,13 +234,13 @@ def axiom_fingerprint_via_template(
 ) -> Fingerprint:
     """Instantiate an axiom homomorphically from its template fingerprint.
 
-    Encodes the template once over the metavariables, then substitutes
-    each binding with hom_subst.  Must agree with the direct encoding; the
-    strict verification mode cross-checks the two on every axiom step.
+    Encodes the template over its metavariables, then substitutes each
+    binding, encoded over the tracked atoms, with hom_subst.  Must agree
+    with the direct encoding; the strict verification mode cross-checks the
+    two on every axiom step.
     """
-    scratch = set(tracked) | set(scheme.metavars)
-    fp = encode_fingerprint(scheme.template, alloc, ring, scratch)
+    fp = encode_fingerprint(scheme.template, alloc, ring, scheme.metavars)
     for mv in scheme.metavars:
-        repl = encode_fingerprint(binding[mv], alloc, ring, scratch)
+        repl = encode_fingerprint(binding[mv], alloc, ring, tracked)
         fp = hom_subst(fp, mv, repl, alloc, ring)
-    return fp.restrict(tracked)
+    return fp

@@ -21,10 +21,10 @@ replay rejects it.
 
 ``verify_symbolic`` runs the same propagation over exact polynomials and
 accepts only on polynomial identity; it is the ground truth the field
-mode is tested against, feasible for small proofs.  A field run carries
+mode is tested against, feasible for small proofs.  A field run tracks
 helper matrices only for the variables some subst step replaces; the
-symbolic run carries one per atom of the signature, as their exact
-divisions reject some malformed mp steps the main matrix lets through.
+symbolic run tracks every atom of the signature, as their exact divisions
+reject some malformed mp steps the main matrix lets through.
 """
 
 from __future__ import annotations
@@ -162,6 +162,7 @@ class Transcript:
     d_bound: int
     epsilon: Fraction
     runs: List[Run]
+    tracked: List[str]  # each step line prints their helpers, a missing one as zero
 
     @property
     def verdict(self) -> str:
@@ -180,7 +181,7 @@ class Transcript:
             if self.repeats > 1:
                 lines.append(f"repeat {r}")
             for rec in run.records:
-                helpers = ", ".join(f"{t}:{m}" for t, m in sorted(rec.fingerprint.helpers.items()))
+                helpers = ", ".join(f"{t}:{rec.fingerprint.helpers[t]}" for t in self.tracked)
                 lines.append(
                     f"step {rec.index} {rec.kind} "
                     f"main={rec.fingerprint.main} helpers={{{helpers}}}"
@@ -327,6 +328,7 @@ def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -
         d_bound=d,
         epsilon=_epsilon(d, field.p, len(runs)),
         runs=runs,
+        tracked=tracked_atoms(script),
     )
 
 

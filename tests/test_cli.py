@@ -112,6 +112,21 @@ def test_verify_fiat_shamir_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_fiat_shamir_binds_every_step(capsys, tmp_path):
+    # Same name and goal, one step changed: the point must change, since
+    # it is fixed only after every step is written.
+    text = load_proof_text("imp_refl")
+    changed = text.replace("4 axiom K { alpha = A, beta = A }", "4 axiom K { alpha = A, beta = !A }")
+    assert changed != text
+    seeds = []
+    for n, body in enumerate((text, changed)):
+        proof = tmp_path / f"{n}.proof"
+        proof.write_text(body)
+        _, out, _ = run(capsys, "verify", str(proof), "--fiat-shamir", "--mode", "field")
+        seeds += [ln for ln in out.splitlines() if ln.startswith("seed ")]
+    assert len(seeds) == 2 and seeds[0] != seeds[1]
+
+
 def test_verify_strict_and_repeats(capsys):
     code, out, _ = run(
         capsys, "verify", IMP_REFL, "--seed", SEED_HEX, "--repeats", "3", "--strict"
@@ -425,12 +440,9 @@ def _fuzz_script(draw):
 _FIXTURES = ("imp_refl", "subst_demo", "subst_step", "contrapose_fn")
 
 
-@st.composite
-def _fuzz_text(draw):
-    """A script or a fixture, with up to three single-character edits."""
-    fixture = st.sampled_from(_FIXTURES).map(load_proof_text)
-    text = draw(st.one_of(_fuzz_script(), fixture))
-    for _ in range(draw(st.integers(0, 3))):
+def _edit(draw, text, edits):
+    """The text after the given number of single-character edits."""
+    for _ in range(edits):
         at = draw(st.integers(0, len(text)))
         ch = draw(st.sampled_from(list("0123456789()!->{},=#\" \nxyzfKSN")))
         edit = draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -439,6 +451,13 @@ def _fuzz_text(draw):
         else:
             text = text[:at] + (ch if edit == "replace" else "") + text[at + 1:]
     return text
+
+
+@st.composite
+def _fuzz_text(draw):
+    """A script or a fixture, with up to three single-character edits."""
+    fixture = st.sampled_from(_FIXTURES).map(load_proof_text)
+    return _edit(draw, draw(st.one_of(_fuzz_script(), fixture)), draw(st.integers(0, 3)))
 
 
 _FUZZ_FLAGS = (
@@ -458,6 +477,47 @@ def test_verify_fuzz_exits_by_contract(tmp_path_factory, text, flags):
     proof.write_text(text)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", str(proof), *flags])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=100)
+@given(
+    st.data(),
+    st.sampled_from((["--symbolic"], ["--seed", "01"], ["--seed", "01", "--prime", "3"])),
+)
+def test_encode_fuzz_exits_by_contract(data, flags):
+    text = _edit(data.draw, data.draw(_fuzz_formula), data.draw(st.integers(0, 3)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["encode", text, *flags])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(_FIXTURES),
+    st.sampled_from([3, 101, MERSENNE61]),
+    st.sampled_from((["--mode", "field"], ["--mode", "field", "--strict"], [])),
+    st.data(),
+)
+def test_verify_assign_fuzz_exits_by_contract(tmp_path_factory, name, prime, flags, data):
+    # A keygen file with one line dropped, edited by characters, or given
+    # another value.
+    point = tmp_path_factory.mktemp("assign") / "point.assign"
+    proof = str(PROOF_DIR / f"{name}.proof")
+    assert main(["keygen", proof, "--prime", str(prime), "--seed", "ab", "-o", str(point)]) == 0
+    lines = point.read_text().splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(["drop", "chars", "value"]))
+    if edit == "drop":
+        del lines[at]
+    elif edit == "chars":
+        lines[at] = _edit(data.draw, lines[at], data.draw(st.integers(1, 3)))
+    else:
+        value = data.draw(st.integers(-1, 1 << 64))
+        lines[at] = f"{lines[at].split(' =')[0]} = {value}"
+    point.write_text("\n".join(lines) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", proof, "--assign", str(point), *flags])
     assert code in (0, 1, 2)
 
 

@@ -1,14 +1,23 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyproof.encmat import EncMatrix, FieldRing, SymbolicRing, elem, identity, product_of, zero_matrix
+from polyproof.encmat import (
+    EncMatrix,
+    FieldRing,
+    SymbolicRing,
+    elem,
+    elem_inv_mul,
+    identity,
+    product_of,
+    zero_matrix,
+)
 from polyproof.ffield import PrimeField
 from polyproof.fingerprint import (
     UnallocatedSymbol,
-    UntrackedVariable,
     VarAllocation,
     axiom_fingerprint_via_template,
     degree_bound,
@@ -168,6 +177,22 @@ def test_hom_mp_field_example():
     assert (got.main.a, got.main.b, got.main.d) == (3, 1, 1)
 
 
+def test_hom_mp_peels_the_helpers_of_either_premise():
+    # A wrong mp whose hypothesis holds x and whose implication does not:
+    # the helper of x is peeled like any other, so it is not read as zero.
+    _, alloc = make_alloc()
+    f = PrimeField(101)
+    ring = FieldRing(f, {v: f.elem(v + 2) for v in range(alloc.size)})
+    hyp = encode_fingerprint(atom("x"), alloc, ring, ("x", "y"))
+    impl = encode_fingerprint(parse_formula("(y -> y)"), alloc, ring, ("x", "y"))
+    got = hom_mp(hyp, impl, alloc, ring)
+    left = elem(alloc.vid("->", 1), ring)
+    for t in ("x", "y", "z"):
+        peeled = impl.helpers[t] - left * hyp.helpers[t]
+        assert got.helpers[t] == elem_inv_mul(alloc.vid("->", 2), peeled, ring)
+    assert set(got.helpers) == {"x", "y"}
+
+
 def test_hom_mp_recovers_middle_step():
     # step C of the A -> A proof: from K(A,B) and S(A,B,A)
     sig = Signature()
@@ -200,25 +225,41 @@ def test_hom_subst_absent_variable():
     assert got.main == src.main
     assert got.helpers["x"] == zero_matrix(RING)
     assert got.helpers["y"] == src.helpers["y"]
-
-
-def test_hom_subst_untracked():
-    _, alloc = make_alloc()
+    # An atom no helper map holds reads as zero, so substituting it
+    # returns the source fingerprint.
     src = encode_fingerprint(atom("x"), alloc, RING, ("x",))
-    with pytest.raises(UntrackedVariable):
-        hom_subst(src, "y", src, alloc, RING)
+    assert hom_subst(src, "y", src, alloc, RING) == src
 
 
 def test_axiom_template_route_matches_direct():
+    # Exactly, and over the field at p = 3 and 5, where the helper of A
+    # vanishes at some points on both routes: neither may store it.
     sig = Signature()
     sig.declare("A", 0)
     alloc = VarAllocation(sig)
-    binding = {"alpha": atom("A"), "beta": parse_formula("(A -> A)", sig)}
-    direct = encode_fingerprint(
-        instantiate_axiom(AXIOM_SCHEMES["K"], binding), alloc, RING, ("A",)
-    )
-    via = axiom_fingerprint_via_template(AXIOM_SCHEMES["K"], binding, alloc, RING, ("A",))
-    assert direct == via
+    small = [f for n in range(1, 5) for f in enumerate_formulas(n, atoms=("A",))]
+    for prime in (None, 3, 5):
+        rings = [RING]
+        if prime is not None:
+            field = PrimeField(prime)
+            rng = random.Random(prime)
+            rings = [
+                FieldRing(field, {v: field.elem(rng.randrange(2, prime)) for v in range(alloc.size)})
+                for _ in range(5)
+            ]
+        vanished = 0
+        for ring in rings:
+            for alpha, beta in itertools.product(small, small):
+                binding = {"alpha": alpha, "beta": beta}
+                direct = encode_fingerprint(
+                    instantiate_axiom(AXIOM_SCHEMES["K"], binding), alloc, ring, ("A",)
+                )
+                via = axiom_fingerprint_via_template(
+                    AXIOM_SCHEMES["K"], binding, alloc, ring, ("A",)
+                )
+                assert direct == via
+                vanished += "A" not in direct.helpers
+        assert (vanished > 0) == (prime is not None)
 
 
 def test_degree_bound_examples():
@@ -388,8 +429,10 @@ def test_closed_form_encoding_matches_matrix_products(f, tracked, prime, salt):
         fp = encode_fingerprint(g, alloc, ring, tracked)
         main, helpers = reference_encode_fingerprint(g, alloc, ring, tracked)
         # raw matrix arithmetic over the field ring does not reduce mod p
-        helpers = {t: ring.reduce(h) for t, h in helpers.items()}
-        assert (fp.main, fp.helpers) == (ring.reduce(main), helpers)
+        assert fp.main == ring.reduce(main)
+        assert all(fp.helpers[t] == ring.reduce(helpers[t]) for t in tracked)
+        assert set(fp.helpers) <= tracked
+        assert all(m != zero_matrix(ring) for m in fp.helpers.values())
 
 
 def test_encoding_depth_costs_no_stack():

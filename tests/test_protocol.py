@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polyproof.cli import _tamper
-from polyproof.encmat import EncMatrix, SymbolicRing
+from polyproof.encmat import EncMatrix, SymbolicRing, zero_matrix
 from polyproof.ffield import MERSENNE61, PrimeField
 from polyproof.fingerprint import VarAllocation
 from polyproof.logic import (
@@ -117,12 +117,12 @@ def test_symbolic_replay_needs_every_helper():
                 assert report.failure.startswith("malformed step"), name
 
 
-def symbolic_prefix(script, alloc):
+def symbolic_prefix(script, alloc, tracked):
     """The exact replay's records, up to its first failed exact division."""
     for k in range(len(script.steps), 0, -1):
         try:
             prefix = replace(script, steps=script.steps[:k])
-            return propagate(prefix, alloc, SymbolicRing(), script_atoms(script))[0]
+            return propagate(prefix, alloc, SymbolicRing(), tracked)[0]
         except NotDivisible:
             continue
     return []
@@ -133,7 +133,10 @@ def symbolic_prefix(script, alloc):
 def test_field_steps_are_symbolic_steps_evaluated(name, prime):
     # At every step the exact replay gets through, the field fingerprint is
     # the symbolic one evaluated at the run's point, entries in [0, p); on
-    # every fixture, tamper variant and same-size atom swap.
+    # every fixture, tamper variant and same-size atom swap, with the field
+    # run's tracked atoms and with all of them.  Every atom either map
+    # holds is compared, a missing one read as zero, and no map stores a
+    # zero helper.
     field = PrimeField(prime)
     for base in [fixture(name)] + atom_swap_variants(name):
         for script in [base] + [_tamper(base, k) for k in range(1, len(base.steps) + 1)]:
@@ -143,11 +146,15 @@ def test_field_steps_are_symbolic_steps_evaluated(name, prime):
             def ev(m):
                 return EncMatrix(*(e.eval(point.values, field).value for e in (m.a, m.b, m.d)))
 
-            records, _ = propagate(script, alloc, point.ring(), tracked_atoms(script))
-            for rec, sym in zip(records, symbolic_prefix(script, alloc)):
-                assert rec.fingerprint.main == ev(sym.fingerprint.main), (rec.index, script)
-                for t, helper in rec.fingerprint.helpers.items():
-                    assert helper == ev(sym.fingerprint.helpers[t]), (rec.index, t, script)
+            for tracked in (tracked_atoms(script), script_atoms(script)):
+                records, _ = propagate(script, alloc, point.ring(), tracked)
+                for rec, sym in zip(records, symbolic_prefix(script, alloc, tracked)):
+                    fp, exact = rec.fingerprint, sym.fingerprint
+                    assert fp.main == ev(exact.main), (rec.index, script)
+                    assert EncMatrix(0, 0, 0) not in fp.helpers.values(), (rec.index, script)
+                    assert zero_matrix(SymbolicRing()) not in exact.helpers.values()
+                    for t in fp.helpers.keys() | exact.helpers.keys():
+                        assert fp.helpers[t] == ev(exact.helpers[t]), (rec.index, t, script)
 
 
 def test_tampered_binding_rejected():
