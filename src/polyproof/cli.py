@@ -218,7 +218,7 @@ def cmd_factor(args) -> int:
     for key in ("a", "b", "d"):
         if key not in data:
             raise ValueError(f"matrix JSON lacks entry {key!r}")
-        entries[key] = MPoly.parse(str(data[key]), names, allow_new=True)
+        entries[key] = MPoly.parse(str(data[key]), names)
     matrix = EncMatrix(entries["a"], entries["b"], entries["d"])
     by_vid = {vid: name for name, vid in names.items()}
     try:

@@ -9,8 +9,8 @@ and ints in [0, p) under a fixed variable assignment (``FieldRing``).  Matrix
 The elementary matrix of a variable v is A(v) = [[x_v, 1], [0, 1]].
 Products of elementary matrices embed sequences of variables faithfully:
 the sequence can be recovered from the product, which
-``factor_elementary_product`` does constructively by peeling candidate
-left factors with exact division and backtracking.
+``factor_elementary_product`` does constructively by peeling left factors
+with exact division, one factor per step and without search.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class FieldRing:
     inverse of each divisor is computed once per ring, so once per run."""
 
     def __init__(self, field: PrimeField, values: Mapping[VarId, FieldElem]):
-        self.field = field
         self.p = field.p
         self.values = {v: e.value for v, e in values.items()}
         self._inverse = {}
@@ -148,37 +147,32 @@ def product_of(vars_seq, ring) -> EncMatrix:
 def factor_elementary_product(m: EncMatrix) -> List[VarId]:
     """Recover the unique sequence s with m == A(s[0]) ... A(s[-1]).
 
-    The (1,1) entry of a product is the plain monomial of its variables,
-    which fixes the multiset of factors but not their order; candidates
-    for the first factor are tried in turn and at most one of them can
-    lead to a complete factorization.
+    Each step peels the first variable of the (1,1) monomial whose
+    ``elem_inv_mul`` divides exactly, until the identity is left.  No
+    search is needed: for a product of n >= 2 factors, b - d contains the
+    monomial x_s[0], which only s[0] divides, and for n = 1 the monomial
+    has one variable.  So on a product every peel is forced and leaves a
+    product, and a failure at any step means that no factorization exists.
     """
     if not isinstance(m.a, MPoly):
         raise TypeError("factorization works on symbolic matrices")
     ring = SymbolicRing()
-    one = ring.one()
-    zero = ring.zero()
-    if m.d != one:
+    if m.d != ring.one():
         raise NotAProduct("(2,2) entry of an elementary product is 1")
-
-    def rec(cur: EncMatrix) -> List[VarId]:
-        if cur.a == one:
-            if cur.b == zero:
-                return []
-            raise NotAProduct("identity candidate has nonzero (1,2) entry")
-        single = cur.a.single_monomial()
+    sequence = []
+    while m.a != ring.one():
+        single = m.a.single_monomial()
         if single is None or single[1] != 1:
             raise NotAProduct("(1,1) entry is not a monic monomial")
-        mono, _ = single
-        for v, _exp in mono:
+        for v, _exp in single[0]:
             try:
-                rest = elem_inv_mul(v, cur, ring)
+                m = elem_inv_mul(v, m, ring)
+                break
             except NotDivisible:
                 continue
-            try:
-                return [v] + rec(rest)
-            except NotAProduct:
-                continue
-        raise NotAProduct("no elementary left factor divides the matrix")
-
-    return rec(m)
+        else:
+            raise NotAProduct("no elementary left factor divides the matrix")
+        sequence.append(v)
+    if m.b != ring.zero():
+        raise NotAProduct("identity candidate has nonzero (1,2) entry")
+    return sequence

@@ -61,10 +61,8 @@ class VarAllocation:
     """
 
     def __init__(self, sig: Signature):
-        self.signature = sig
         self._vid: Dict[Tuple[str, int], VarId] = {}
         self._display: List[str] = []
-        self._arity: Dict[str, int] = {}
         used = set()
 
         def claim(sym: str, slot_names: Iterable[str]):
@@ -72,7 +70,6 @@ class VarAllocation:
                 self._vid[(sym, slot)] = len(self._display)
                 self._display.append(nm)
                 used.add(nm)
-            self._arity[sym] = len(tuple(slot_names)) - 1
 
         for sym, slot_names in _BUILTIN_SLOTS:
             claim(sym, slot_names)

@@ -421,9 +421,8 @@ def _parse_step_formula(text: str, sig: Signature, line_no: int) -> Formula:
         raise
 
 
-def parse_proof(text: str, sig: Optional[Signature] = None) -> ProofScript:
-    if sig is None:
-        sig = Signature()
+def parse_proof(text: str) -> ProofScript:
+    sig = Signature()
     name = None
     goal = None
     steps: List = []

@@ -11,16 +11,17 @@ Coefficients are Python ints on purpose: repeated sums in the matrix
 encoding grow entries without bound (one entry counts tree nodes), and a
 fixed-width type would overflow silently.
 
-Text form, produced by ``render`` and accepted by ``parse``:
+Text form, produced by ``render`` and accepted by ``parse`` (whitespace
+may surround any token):
 
-    poly   := [ "-" ] term { ("+" | "-") term }
-    term   := integer | integer "*" factors | factors
-    factors:= factor { "*" factor }
-    factor := name [ "^" integer ]
+    poly   := [ "+" | "-" ] term { ("+" | "-") term }
+    term   := factor { "*" factor }
+    factor := integer | name [ "^" integer ]
 
-Terms are ordered by total degree descending, ties broken by comparing
-monomials lexicographically.  The default variable name for id k is
-``X<k>``, e.g. ``2*X3^2*X5 + X1 - 4``.
+Nothing nests, so the grammar is regular: ``parse`` checks a text with one
+regular expression.  ``render`` orders terms by total degree descending,
+ties broken by comparing monomials lexicographically.  The default
+variable name for id k is ``X<k>``, e.g. ``2*X3^2*X5 + X1 - 4``.
 """
 
 from __future__ import annotations
@@ -219,107 +220,42 @@ class MPoly:
         return "".join(out)
 
     @classmethod
-    def parse(
-        cls,
-        text: str,
-        names: Optional[dict] = None,
-        *,
-        allow_new: bool = False,
-    ) -> "MPoly":
+    def parse(cls, text: str, names: Optional[dict] = None) -> "MPoly":
         """Parse the render grammar back into a polynomial.
 
-        ``names`` maps variable names to ids; with ``allow_new`` unseen
-        names are assigned the next free id and recorded in the mapping.
-        Without a mapping only the default ``X<k>`` names are accepted.
+        With ``names`` (a map from variable name to id), each name not yet
+        in the map gets the next free id, in order of first appearance.
+        Without a map only the default ``X<k>`` names are accepted.
         """
-        tokens = _tokenize_poly(text)
-        pos = 0
-
-        def resolve(nm: str) -> VarId:
-            if names is not None:
-                if nm in names:
-                    return names[nm]
-                if allow_new:
-                    vid = max(names.values(), default=-1) + 1
-                    names[nm] = vid
-                    return vid
-                raise ValueError(f"unknown variable name {nm!r}")
-            m = re.fullmatch(r"X(\d+)", nm)
-            if not m:
-                raise ValueError(f"unknown variable name {nm!r}")
-            return int(m.group(1))
-
-        def peek():
-            return tokens[pos] if pos < len(tokens) else None
-
-        def take():
-            nonlocal pos
-            tok = peek()
-            pos += 1
-            return tok
-
-        def parse_term(sign: int) -> "MPoly":
-            nonlocal pos
-            coeff = 1
-            factors = {}
-            saw_any = False
-            expect_factor = True
-            while expect_factor:
-                kind, val = take() or (None, None)
-                if kind == "int":
-                    coeff *= int(val)
-                elif kind == "name":
-                    vid = resolve(val)
-                    exp = 1
-                    if peek() and peek()[0] == "^":
-                        take()
-                        k, v2 = take() or (None, None)
-                        if k != "int":
-                            raise ValueError("expected integer exponent")
-                        exp = int(v2)
-                    factors[vid] = factors.get(vid, 0) + exp
+        whole = _POLY.match(text)
+        if whole is None or whole.end() < len(text):
+            pos = whole.end() if whole else 0
+            raise ValueError(f"malformed polynomial at offset {pos}: {text[pos:pos + 8]!r}")
+        terms: dict = {}
+        for sign, body in _SIGNED_TERM.findall(text):
+            coeff = -1 if sign == "-" else 1
+            exps: dict = {}
+            for digits, name, exp in _FACTOR.findall(body):
+                if digits:
+                    coeff *= int(digits)
+                    continue
+                if names is not None:
+                    if name not in names:
+                        names[name] = max(names.values(), default=-1) + 1
+                    vid = names[name]
+                elif re.fullmatch(r"X\d+", name):
+                    vid = int(name[1:])
                 else:
-                    raise ValueError("expected a term")
-                saw_any = True
-                if peek() and peek()[0] == "*":
-                    take()
-                else:
-                    expect_factor = False
-            if not saw_any:
-                raise ValueError("empty term")
-            mono = tuple(sorted((v, e) for v, e in factors.items() if e))
-            return MPoly({mono: sign * coeff})
-
-        result = cls.zero()
-        sign = 1
-        if peek() and peek()[0] in "+-":
-            sign = -1 if take()[0] == "-" else 1
-        result = result + parse_term(sign)
-        while peek() is not None:
-            kind, _ = take()
-            if kind not in "+-":
-                raise ValueError(f"unexpected {kind!r} in polynomial")
-            result = result + parse_term(-1 if kind == "-" else 1)
-        return result
+                    raise ValueError(f"unknown variable name {name!r}")
+                exps[vid] = exps.get(vid, 0) + int(exp or 1)
+            mono = tuple(sorted((v, e) for v, e in exps.items() if e))
+            terms[mono] = terms.get(mono, 0) + coeff
+        return cls(terms)
 
 
-_POLY_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^]))")
-
-
-def _tokenize_poly(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad character at offset {pos}: {text[pos]!r}")
-            break
-        pos = m.end()
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append((m.group(3), m.group(3)))
-    return tokens
+# Each token is followed by one run of whitespace and never preceded by
+# one, so a failing match cannot split a run of blanks in many ways.
+_FACTOR = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(\d+))?")
+_TERM = rf"(?:{_FACTOR.pattern})\s*(?:\*\s*(?:{_FACTOR.pattern})\s*)*"
+_POLY = re.compile(rf"\s*(?:[+-]\s*)?{_TERM}(?:[+-]\s*{_TERM})*")
+_SIGNED_TERM = re.compile(r"\s*([+-]?)([^+-]+)")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyproof.cli import main
+from polyproof.encmat import SymbolicRing, product_of
 from polyproof.ffield import MERSENNE61
 from polyproof.logic import parse_proof
 
@@ -195,6 +196,16 @@ def test_factor_rejects_sum(capsys, tmp_path):
     code, _, err = run(capsys, "factor", str(mat))
     assert code == 1
     assert "NotAProduct" in err
+
+
+def test_factor_long_product(capsys, tmp_path):
+    # A(X)^1200, about 9.7 KB: one factor per loop step, not per stack frame.
+    mat = tmp_path / "m.json"
+    b = " + ".join(f"X^{k}" for k in range(1199, 0, -1)) + " + 1"
+    mat.write_text(json.dumps({"a": "X^1200", "b": b, "d": "1"}))
+    code, out, _ = run(capsys, "factor", str(mat))
+    assert code == 0
+    assert out.split() == ["X"] * 1200
 
 
 def test_factor_non_object_json_is_malformed(capsys, tmp_path):
@@ -440,11 +451,11 @@ def _fuzz_script(draw):
 _FIXTURES = ("imp_refl", "subst_demo", "subst_step", "contrapose_fn")
 
 
-def _edit(draw, text, edits):
+def _edit(draw, text, edits, alphabet="0123456789()!->{},=#\" \nxyzfKSN"):
     """The text after the given number of single-character edits."""
     for _ in range(edits):
         at = draw(st.integers(0, len(text)))
-        ch = draw(st.sampled_from(list("0123456789()!->{},=#\" \nxyzfKSN")))
+        ch = draw(st.sampled_from(list(alphabet)))
         edit = draw(st.sampled_from(["insert", "delete", "replace"]))
         if edit == "insert":
             text = text[:at] + ch + text[at:]
@@ -519,6 +530,23 @@ def test_verify_assign_fuzz_exits_by_contract(tmp_path_factory, name, prime, fla
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", proof, "--assign", str(point), *flags])
     assert code in (0, 1, 2)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 2), max_size=6), st.sampled_from("abd"), st.data())
+def test_factor_fuzz_exits_by_contract(tmp_path_factory, seq, key, data):
+    # A product of A(X), A(Y), A(Z) with one entry's text edited.
+    m = product_of(seq, SymbolicRing())
+    entries = {k: getattr(m, k).render({0: "X", 1: "Y", 2: "Z"}) for k in "abd"}
+    edits = data.draw(st.integers(1, 3))
+    entries[key] = _edit(data.draw, entries[key], edits, "XYZ_0123456789+-*^ $")
+    mat = tmp_path_factory.mktemp("factor") / "m.json"
+    mat.write_text(json.dumps(entries))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["factor", str(mat)])
+    assert code in (0, 1, 2)
+    assert code == 0 or err.getvalue().startswith(("NotAProduct: ", "error: "))
 
 
 def output_digest(*runs):

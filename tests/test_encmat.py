@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -104,6 +105,23 @@ def test_factor_rejects_bad_diagonal():
     m = elem(0, RING)
     with pytest.raises(NotAProduct):
         factor_elementary_product(EncMatrix(m.a, m.b, MPoly.const(2)))
+
+
+def test_factor_is_sound_on_one_term_perturbations():
+    # Products of up to 8 factors over 4 variables, one entry changed by one
+    # term: a sequence is only returned when it multiplies back to the input.
+    rng = random.Random(11)
+    for _ in range(2000):
+        m = product_of([rng.randrange(4) for _ in range(rng.randint(0, 8))], RING)
+        mono = {v: rng.randint(1, 2) for v in rng.sample(range(4), rng.randint(0, 3))}
+        term = MPoly({tuple(sorted(mono.items())): rng.choice([-1, 1])})
+        key = rng.choice("abd")
+        changed = replace(m, **{key: getattr(m, key) + term})
+        try:
+            seq = factor_elementary_product(changed)
+        except NotAProduct:
+            continue
+        assert product_of(seq, RING) == changed
 
 
 @given(sequences)

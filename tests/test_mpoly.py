@@ -136,7 +136,7 @@ def test_parse_render_roundtrip(p):
 
 def test_parse_custom_names():
     names = {}
-    p = MPoly.parse("U*V + 2*U - 1", names, allow_new=True)
+    p = MPoly.parse("U*V + 2*U - 1", names)
     assert names == {"U": 0, "V": 1}
     assert p == MPoly.var(0) * MPoly.var(1) + MPoly.const(2) * MPoly.var(0) - MPoly.one()
 
@@ -146,6 +146,14 @@ def test_parse_drops_zero_exponents():
     assert MPoly.parse("X1^0") == MPoly.one()
     assert MPoly.parse("3*X1^0*X2 + X1^0") == MPoly.const(3) * X2 + MPoly.one()
     assert MPoly.parse("X2^0*X2") == X2
+
+
+def test_parse_names_the_offset_where_malformed_text_stops():
+    # Parsing stops after the last whole term and quotes a few characters.
+    with pytest.raises(ValueError, match=r"^malformed polynomial at offset 3: '\+ \$ 1'$"):
+        MPoly.parse("X1 + $ 1")
+    with pytest.raises(ValueError, match=r"^malformed polynomial at offset 2: '\^\*{7}'$"):
+        MPoly.parse("X1^" + "*" * 1000)
 
 
 def test_parse_rejects_unknown_names():
