@@ -17,7 +17,6 @@ from .fingerprint import VarAllocation, encode_fingerprint
 from .logic import (
     Formula,
     MPStep,
-    NotAVariable,
     ParseError,
     ProofScript,
     Signature,
@@ -302,7 +301,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         ParseError,
-        NotAVariable,
         StrictCheckError,
         ValueError,
         OSError,

@@ -16,7 +16,7 @@ axiom-scheme metavariables and are rejected as formula symbols.
 Proof scripts are line oriented (``#`` starts a comment):
 
     proof "<name>"
-    symbol <name> arity <k>          # optional, before goal
+    symbol <name> arity <k>          # before goal; needed for arity > 0
     goal <formula>
     <n> axiom <K|S|N> { alpha = <formula>, beta = <formula>[, gamma = ...] }
     <n> mp <h> <i>                   # from h: f and i: (f -> g), conclude g
@@ -24,9 +24,12 @@ Proof scripts are line oriented (``#`` starts a comment):
     <n> subst <i> <var> step <j>
     qed <n>
 
+A formula in a step (a binding or a ``with`` replacement) may sit inside
+one layer of grouping parentheses: ``alpha = (x)`` reads as ``alpha = x``.
 Steps are numbered consecutively from 1 and may only reference earlier
-steps.  ``run_classical`` executes a script purely syntactically and is
-the ground-truth checker the matrix pipeline is tested against.
+steps.  Every ``ParseError`` from ``parse_proof`` names its line.
+``run_classical`` executes a script purely syntactically and is the
+ground-truth checker the matrix pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -38,20 +41,22 @@ from typing import Dict, List, Optional, Tuple
 IMPLIES = "->"
 NOT = "!"
 METAVARIABLES = ("alpha", "beta", "gamma")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_IS_NAME = re.compile(_NAME)
 
 
 class ParseError(Exception):
-    """Malformed input text; carries a character or line position."""
+    """Malformed input text; carries a character position and, in a proof, the line."""
 
-    def __init__(self, message: str, pos: Optional[int] = None, line: Optional[int] = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line})"
-        elif pos is not None:
-            loc = f" (at position {pos})"
-        super().__init__(message + loc)
+    def __init__(self, message: str, pos: Optional[int] = None):
+        super().__init__(message)
         self.pos = pos
-        self.line = line
+        self.line: Optional[int] = None
+
+    def __str__(self):
+        if self.line is not None:
+            return f"{self.args[0]} (line {self.line})"
+        return self.args[0] + ("" if self.pos is None else f" (at position {self.pos})")
 
 
 class UnknownSymbol(ParseError):
@@ -70,7 +75,7 @@ class BadQed(ParseError):
     pass
 
 
-class NotAVariable(Exception):
+class NotAVariable(ParseError):
     """Substitution target has positive arity."""
 
 
@@ -161,7 +166,7 @@ class Signature:
     def declare(self, name: str, arity: int) -> None:
         if name in METAVARIABLES:
             raise ParseError(f"{name!r} is reserved for axiom metavariables")
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        if not _IS_NAME.fullmatch(name):
             raise ParseError(f"invalid symbol name {name!r}")
         if arity < 0:
             raise ParseError(f"negative arity for {name!r}")
@@ -190,94 +195,100 @@ class Signature:
         return [n for n, a in self.symbols() if a == 0]
 
 
-# -- formula parsing ---------------------------------------------------------
+# -- parsing -----------------------------------------------------------------
 
-_FORMULA_TOKEN = re.compile(r"\s*(->|[()!,]|[A-Za-z_][A-Za-z0-9_]*)")
+_TOKEN = re.compile(rf"->|{_NAME}|\S")
 
 
-def _tokenize_formula(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _FORMULA_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                bad = text[pos:].lstrip()
-                raise ParseError(f"unexpected character {bad[0]!r}", pos=pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+class _Cursor:
+    """The tokens of ``text[start:]``, then None for the end, and a read position.
+
+    A non-space character that starts no name and no ``->`` is a token of its
+    own, so a stray character fails only where the parser reaches it.
+    """
+
+    def __init__(self, text: str, start: int = 0):
+        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text, start)]
+        self.tokens.append((None, len(text)))
+        self.i = 0
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.i][0]
+
+    def take(self, *expected: str) -> str:
+        """The next token: one of expected if given, else one the caller has peeked."""
+        tok = self.tokens[self.i][0]
+        if expected and tok not in expected:
+            self.fail(f"expected {' or '.join(map(repr, expected))}")
+        self.i += 1
+        return tok
+
+    def fail(self, message: str, cls=ParseError, at: Optional[int] = None):
+        """Raise cls at token number at, or else at the next token, which the message names."""
+        if at is None:
+            at, tok = self.i, self.peek()
+            message += ", found " + ("end of input" if tok is None else repr(tok))
+        raise cls(message, pos=self.tokens[at][1])
+
+
+def _formula(cur: _Cursor, sig: Signature, group: bool = False) -> Formula:
+    """Read one formula, one Python frame per nesting level.
+
+    With group, one layer of grouping parentheses may enclose the formula:
+    after '(' and a formula, ')' closes the group and '->' an implication.
+    """
+    tok = cur.peek()
+    if tok == "(":
+        cur.take()
+        left = _formula(cur, sig)
+        if group and cur.peek() == ")":
+            cur.take()
+            return left
+        cur.take(IMPLIES)
+        right = _formula(cur, sig)
+        cur.take(")")
+        return imp(left, right)
+    if tok == NOT:
+        cur.take()
+        return neg(_formula(cur, sig))
+    if tok is None or not _IS_NAME.fullmatch(tok):
+        cur.fail("expected a formula")
+    at = cur.i
+    cur.take()
+    if tok in METAVARIABLES:
+        cur.fail(f"{tok!r} is reserved for axiom metavariables", at=at)
+    if cur.peek() == "(":
+        cur.take()
+        args = [_formula(cur, sig)]
+        while cur.peek() == ",":
+            cur.take()
+            args.append(_formula(cur, sig))
+        cur.take(")")
+        if not sig.has(tok):
+            cur.fail(f"unknown symbol {tok!r}", UnknownSymbol, at)
+        if sig.arity(tok) != len(args):
+            cur.fail(f"{tok!r} takes {sig.arity(tok)} arguments, got {len(args)}",
+                     ArityMismatch, at)
+        return Formula(tok, tuple(args))
+    if not sig.has(tok):
+        sig.declare(tok, 0)
+    elif sig.arity(tok) != 0:
+        cur.fail(f"{tok!r} has arity {sig.arity(tok)} and needs arguments", ArityMismatch, at)
+    return atom(tok)
+
+
+def _whole_formula(text: str, sig: Signature, start: int = 0, group: bool = False) -> Formula:
+    """The formula that is all of ``text[start:]``."""
+    cur = _Cursor(text, start)
+    f = _formula(cur, sig, group)
+    if cur.peek() is not None:
+        cur.fail("expected end of input")
+    return f
 
 
 def parse_formula(text: str, sig: Optional[Signature] = None) -> Formula:
     """Parse a formula, declaring unseen arity-0 symbols in sig."""
-    if sig is None:
-        sig = Signature()
-    tokens = _tokenize_formula(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def where():
-        return tokens[pos][1] if pos < len(tokens) else len(text)
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of formula", pos=len(text))
-        tok, at = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}", pos=at)
-        pos += 1
-        return tok, at
-
-    def formula() -> Formula:
-        tok = peek()
-        if tok == "(":
-            take("(")
-            left = formula()
-            take(IMPLIES)
-            right = formula()
-            take(")")
-            return imp(left, right)
-        if tok == NOT:
-            take(NOT)
-            return neg(formula())
-        if tok is None or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise ParseError(f"expected a formula, found {tok!r}", pos=where())
-        name, at = take()
-        if name in METAVARIABLES:
-            raise ParseError(f"{name!r} is reserved for axiom metavariables", pos=at)
-        if peek() == "(":
-            take("(")
-            args = [formula()]
-            while peek() == ",":
-                take(",")
-                args.append(formula())
-            take(")")
-            if not sig.has(name):
-                raise UnknownSymbol(f"unknown symbol {name!r}", pos=at)
-            if sig.arity(name) != len(args):
-                raise ArityMismatch(
-                    f"{name!r} takes {sig.arity(name)} arguments, got {len(args)}",
-                    pos=at,
-                )
-            return Formula(name, tuple(args))
-        if not sig.has(name):
-            sig.declare(name, 0)
-        elif sig.arity(name) != 0:
-            raise ArityMismatch(
-                f"{name!r} has arity {sig.arity(name)} and needs arguments",
-                pos=at,
-            )
-        return atom(name)
-
-    result = formula()
-    if pos < len(tokens):
-        raise ParseError(f"trailing input {tokens[pos][0]!r}", pos=tokens[pos][1])
-    return result
+    return _whole_formula(text, Signature() if sig is None else sig)
 
 
 # -- substitution and axiom schemes ------------------------------------------
@@ -385,185 +396,118 @@ class ProofScript:
     qed: int = 0
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
-
-
-def _split_top_level(text: str, sep: str) -> List[str]:
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
-def _parse_step_formula(text: str, sig: Signature, line_no: int) -> Formula:
-    """Formula text in a step; one layer of grouping parens may be stripped."""
-    text = text.strip()
-    try:
-        return parse_formula(text, sig)
-    except ParseError:
-        if text.startswith("(") and text.endswith(")"):
-            inner = text[1:-1].strip()
-            try:
-                return parse_formula(inner, sig)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=line_no) from None
-        raise
+_PROOF = re.compile(r'proof\s+"([^"]*)"')
+_SYMBOL = re.compile(rf"symbol\s+({_NAME})\s+arity\s+(\d+)")
+_GOAL = re.compile(r"goal\s")
+_STEP = re.compile(r"(\d+)\s+(axiom|mp|subst)\b\s*")
+_MP = re.compile(r"(\d+)\s+(\d+)")
+_SUBST = re.compile(rf"(\d+)\s+({_NAME})\s+(with|step)\s+(.+)")
+_QED = re.compile(r"qed\s+(\d+)")
 
 
 def parse_proof(text: str) -> ProofScript:
-    sig = Signature()
-    name = None
-    goal = None
-    steps: List = []
-    qed = None
-
-    lines = [(n, _strip_comment(raw).strip()) for n, raw in enumerate(text.splitlines(), 1)]
-    lines = [(n, ln) for n, ln in lines if ln]
-    i = 0
-
-    if i >= len(lines) or not lines[i][1].startswith("proof"):
-        raise ParseError("proof file must start with: proof \"<name>\"",
-                         line=lines[i][0] if i < len(lines) else 1)
-    m = re.fullmatch(r'proof\s+"([^"]*)"', lines[i][1])
-    if not m:
-        raise ParseError('malformed proof header, expected: proof "<name>"', line=lines[i][0])
-    name = m.group(1)
-    i += 1
-
-    while i < len(lines) and lines[i][1].startswith("symbol"):
-        n, ln = lines[i]
-        m = re.fullmatch(r"symbol\s+([A-Za-z_][A-Za-z0-9_]*)\s+arity\s+(\d+)", ln)
-        if not m:
-            raise ParseError("malformed symbol declaration", line=n)
-        try:
-            sig.declare(m.group(1), int(m.group(2)))
-        except ParseError as exc:
-            raise ParseError(str(exc), line=n) from None
-        i += 1
-
-    if i >= len(lines) or not re.match(r"goal\s", lines[i][1]):
-        raise ParseError("expected a goal line", line=lines[i][0] if i < len(lines) else 1)
-    n, ln = lines[i]
+    """Parse a proof script; every ParseError names the line it concerns."""
+    lines = [(n, ln) for n, raw in enumerate(text.splitlines(), 1)
+             if (ln := raw.partition("#")[0].strip())]
+    lines.append((lines[-1][0] if lines else 1, ""))  # end of input
+    sig, steps, i = Signature(), [], 1
+    n, ln = lines[0]
     try:
-        goal = parse_formula(ln[len("goal"):], sig)
-    except ParseError as exc:
-        raise ParseError(f"bad goal: {exc}", line=n) from None
-    i += 1
-
-    while i < len(lines) and qed is None:
+        header = _PROOF.fullmatch(ln)
+        if not header:
+            raise ParseError('proof file must start with: proof "<name>"')
+        while lines[i][1].startswith("symbol"):
+            n, ln = lines[i]
+            m = _SYMBOL.fullmatch(ln)
+            if not m:
+                raise ParseError("malformed symbol declaration")
+            sig.declare(m.group(1), int(m.group(2)))
+            i += 1
         n, ln = lines[i]
-        i += 1
-        m = re.fullmatch(r"qed\s+(\d+)", ln)
-        if m:
+        if not _GOAL.match(ln):
+            raise ParseError("expected a goal line")
+        goal = _whole_formula(ln, sig, len("goal"))
+        for (n, ln), (next_n, next_ln) in zip(lines[i + 1:], lines[i + 2:]):
+            m = _QED.fullmatch(ln)
+            if not m:
+                steps.append(_step(ln, sig, len(steps) + 1))
+                continue
+            if next_ln:
+                n = next_n
+                raise ParseError(f"unexpected content after qed: {next_ln!r}")
             qed = int(m.group(1))
-            break
-        m = re.match(r"(\d+)\s+(axiom|mp|subst)\b\s*(.*)", ln)
-        if not m:
-            raise ParseError(f"unrecognized line: {ln!r}", line=n)
-        idx = int(m.group(1))
-        if idx != len(steps) + 1:
-            raise ParseError(
-                f"steps must be numbered consecutively; expected {len(steps) + 1}, got {idx}",
-                line=n,
-            )
-        kind, rest = m.group(2), m.group(3)
-        if kind == "axiom":
-            steps.append(_parse_axiom_step(rest, sig, n))
-        elif kind == "mp":
-            m2 = re.fullmatch(r"(\d+)\s+(\d+)", rest.strip())
-            if not m2:
-                raise ParseError("malformed mp step, expected: mp <h> <i>", line=n)
-            hyp, impl = int(m2.group(1)), int(m2.group(2))
-            for ref in (hyp, impl):
-                if not 1 <= ref < idx:
-                    raise ForwardReference(
-                        f"step {idx} references step {ref}", line=n
-                    )
-            steps.append(MPStep(hyp, impl))
-        else:
-            steps.append(_parse_subst_step(rest, sig, idx, n))
-
-    if qed is None:
+            if not 1 <= qed <= len(steps):
+                raise BadQed(f"qed {qed} does not name a step (have {len(steps)})")
+            return ProofScript(header.group(1), sig, goal, tuple(steps), qed)
         raise ParseError("missing qed line")
-    if i < len(lines):
-        raise ParseError(f"unexpected content after qed: {lines[i][1]!r}", line=lines[i][0])
-    if not 1 <= qed <= len(steps):
-        raise BadQed(f"qed {qed} does not name a step (have {len(steps)})")
-    return ProofScript(name, sig, goal, tuple(steps), qed)
+    except ParseError as exc:
+        exc.line = n
+        raise
 
 
-def _parse_axiom_step(rest: str, sig: Signature, line_no: int) -> AxiomStep:
-    m = re.fullmatch(r"([A-Za-z]\w*)\s*\{(.*)\}\s*", rest, re.S)
+def _ref(idx: int, ref: int) -> int:
+    """Step idx's reference to an earlier step."""
+    if not 1 <= ref < idx:
+        raise ForwardReference(f"step {idx} references step {ref}")
+    return ref
+
+
+def _step(ln: str, sig: Signature, idx: int):
+    """The step on line ln, which must be numbered idx."""
+    m = _STEP.match(ln)
     if not m:
-        raise ParseError("malformed axiom step, expected: axiom <scheme> { ... }", line=line_no)
-    scheme_name = m.group(1)
-    if scheme_name not in AXIOM_SCHEMES:
-        raise ParseError(f"unknown axiom scheme {scheme_name!r}", line=line_no)
-    scheme = AXIOM_SCHEMES[scheme_name]
+        raise ParseError(f"unrecognized line: {ln!r}")
+    got = int(m.group(1))
+    if got != idx:
+        raise ParseError(f"steps must be numbered consecutively; expected {idx}, got {got}")
+    kind = m.group(2)
+    if kind == "axiom":
+        return _axiom_step(_Cursor(ln, m.end()), sig)
+    m = (_MP if kind == "mp" else _SUBST).fullmatch(ln, m.end())
+    if not m:
+        usage = "mp <h> <i>" if kind == "mp" else (
+            "subst <i> <var> with (<formula>) or: subst <i> <var> step <j>")
+        raise ParseError(f"malformed {kind} step, expected: {usage}")
+    if kind == "mp":
+        return MPStep(_ref(idx, int(m.group(1))), _ref(idx, int(m.group(2))))
+    src, var = _ref(idx, int(m.group(1))), m.group(2)
+    if not sig.has(var):
+        sig.declare(var, 0)  # rejects a metavariable
+    elif sig.arity(var) != 0:
+        raise NotAVariable(f"{var!r} has arity {sig.arity(var)}")
+    if m.group(3) == "with":
+        return SubstStep(src, var, replacement=_whole_formula(ln, sig, m.start(4), True))
+    if not m.group(4).isdecimal():
+        raise ParseError("malformed subst step reference")
+    return SubstStep(src, var, replacement_step=_ref(idx, int(m.group(4))))
+
+
+def _axiom_step(cur: _Cursor, sig: Signature) -> AxiomStep:
+    """``<scheme> { mv = formula, ... }``; empty entries between commas are skipped."""
+    name = cur.peek()
+    if name not in AXIOM_SCHEMES:
+        cur.fail("expected an axiom scheme (K, S or N)")
+    scheme = AXIOM_SCHEMES[cur.take()]
+    cur.take("{")
     binding: Dict[str, Formula] = {}
-    for part in _split_top_level(m.group(2), ","):
-        part = part.strip()
-        if not part:
-            continue
-        m2 = re.match(r"([A-Za-z]\w*)\s*=\s*(.+)", part, re.S)
-        if not m2:
-            raise ParseError(f"malformed binding {part!r}", line=line_no)
-        mv = m2.group(1)
-        if mv not in scheme.metavars:
-            raise ParseError(
-                f"{mv!r} is not a metavariable of scheme {scheme_name}", line=line_no
-            )
-        if mv in binding:
-            raise ParseError(f"duplicate binding for {mv!r}", line=line_no)
-        binding[mv] = _parse_step_formula(m2.group(2), sig, line_no)
+    while True:
+        mv = cur.peek()
+        if mv not in (",", "}"):
+            if mv not in scheme.metavars:
+                cur.fail(f"expected a metavariable of scheme {name}")
+            if mv in binding:
+                cur.fail(f"duplicate binding for {mv!r}", at=cur.i)
+            cur.take()
+            cur.take("=")
+            binding[mv] = _formula(cur, sig, group=True)
+        if cur.take(",", "}") == "}":
+            break
+    if cur.peek() is not None:
+        cur.fail("expected end of input")
     for mv in scheme.metavars:
         if mv not in binding:
-            raise ParseError(f"axiom {scheme_name} is missing binding for {mv}", line=line_no)
-    return AxiomStep(scheme_name, binding)
-
-
-def _parse_subst_step(rest: str, sig: Signature, idx: int, line_no: int) -> SubstStep:
-    m = re.fullmatch(
-        r"(\d+)\s+([A-Za-z_][A-Za-z0-9_]*)\s+(with|step)\s+(.+)", rest.strip(), re.S
-    )
-    if not m:
-        raise ParseError(
-            "malformed subst step, expected: subst <i> <var> with (<formula>) "
-            "or: subst <i> <var> step <j>",
-            line=line_no,
-        )
-    src = int(m.group(1))
-    if not 1 <= src < idx:
-        raise ForwardReference(f"step {idx} references step {src}", line=line_no)
-    var = m.group(2)
-    if var in METAVARIABLES:
-        raise ParseError(f"{var!r} is reserved for axiom metavariables", line=line_no)
-    if sig.has(var):
-        if sig.arity(var) != 0:
-            raise NotAVariable(f"{var!r} has arity {sig.arity(var)}")
-    else:
-        sig.declare(var, 0)
-    if m.group(3) == "with":
-        replacement = _parse_step_formula(m.group(4), sig, line_no)
-        return SubstStep(src, var, replacement=replacement)
-    m2 = re.fullmatch(r"(\d+)", m.group(4).strip())
-    if not m2:
-        raise ParseError("malformed subst step reference", line=line_no)
-    ref = int(m2.group(1))
-    if not 1 <= ref < idx:
-        raise ForwardReference(f"step {idx} references step {ref}", line=line_no)
-    return SubstStep(src, var, replacement_step=ref)
+            raise ParseError(f"axiom {name} is missing binding for {mv}")
+    return AxiomStep(name, binding)
 
 
 # -- the classical (syntactic) checker ----------------------------------------

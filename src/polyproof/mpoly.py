@@ -243,7 +243,7 @@ class MPoly:
                     if name not in names:
                         names[name] = max(names.values(), default=-1) + 1
                     vid = names[name]
-                elif re.fullmatch(r"X\d+", name):
+                elif name[0] == "X" and name[1:].isdecimal():
                     vid = int(name[1:])
                 else:
                     raise ValueError(f"unknown variable name {name!r}")

@@ -58,6 +58,8 @@ from .logic import (
 )
 from .mpoly import MissingAssignment, NotDivisible, VarId
 
+_ASSIGNMENT_LINE = re.compile(r"(\S+)\s*=\s*(\d+)")
+
 
 class StrictCheckError(Exception):
     """Direct and template-derived axiom fingerprints disagree."""
@@ -92,7 +94,7 @@ class Assignment:
             line = raw.strip()
             if not line:
                 continue
-            m = re.fullmatch(r"(\S+)\s*=\s*(\d+)", line)
+            m = _ASSIGNMENT_LINE.fullmatch(line)
             if not m:
                 raise ValueError(f"assignment line {line_no}: malformed {raw!r}")
             name, number = m.group(1), int(m.group(2))

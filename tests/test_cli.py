@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from polyproof.cli import main
 from polyproof.encmat import SymbolicRing, product_of
 from polyproof.ffield import MERSENNE61
-from polyproof.logic import parse_proof
+from polyproof.logic import ParseError, parse_proof
 
 from .conftest import PROOF_DIR, atom_swap_text, load_proof_text
 
@@ -469,6 +469,15 @@ def _fuzz_text(draw):
     """A script or a fixture, with up to three single-character edits."""
     fixture = st.sampled_from(_FIXTURES).map(load_proof_text)
     return _edit(draw, draw(st.one_of(_fuzz_script(), fixture)), draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300)
+@given(_fuzz_text())
+def test_parse_errors_on_edited_scripts_name_their_line(text):
+    try:
+        parse_proof(text)
+    except ParseError as exc:
+        assert exc.line is not None and "None" not in str(exc), str(exc)
 
 
 _FUZZ_FLAGS = (

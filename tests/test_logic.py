@@ -46,6 +46,18 @@ formulas = st.recursive(
     max_leaves=32,
 )
 
+# Adds the function symbols g/1 and h/3.
+fn_formulas = st.recursive(
+    st.sampled_from([atom("x"), atom("y"), atom("c")]),
+    lambda inner: st.one_of(
+        inner.map(neg),
+        st.tuples(inner, inner).map(lambda ab: imp(*ab)),
+        inner.map(lambda a: Formula("g", (a,))),
+        st.tuples(inner, inner, inner).map(lambda abc: Formula("h", abc)),
+    ),
+    max_leaves=16,
+)
+
 
 def test_parse_simple_implication():
     f = parse_formula("(A -> A)")
@@ -93,9 +105,19 @@ def test_parse_rejects_metavariable_names():
         parse_formula("(alpha -> x)")
 
 
-@given(formulas)
+@given(fn_formulas)
 def test_print_parse_roundtrip(f):
-    assert parse_formula(str(f)) == f
+    sig = Signature()
+    sig.declare("g", 1)
+    sig.declare("h", 3)
+    assert parse_formula(str(f), sig) == f
+
+
+def test_parse_error_names_the_next_token():
+    with pytest.raises(ParseError, match=r"^expected '->', found end of input \(at position 2\)$"):
+        parse_formula("(x")
+    with pytest.raises(ParseError, match=r"^expected a formula, found '\$' \(at position 6\)$"):
+        parse_formula("(x -> $)")
 
 
 def test_subst_basic(xyz_signature):
@@ -255,6 +277,51 @@ qed 2
         parse_proof(text)
 
 
+_PLAIN = ("1 axiom K { alpha = x, beta = y }", "2 subst 1 x with (x -> y)")
+
+
+def _two_steps(lines):
+    return parse_proof('proof "q"\ngoal x\n' + "\n".join(lines) + "\nqed 2\n").steps
+
+
+@pytest.mark.parametrize("lines", [
+    ("1 axiom K { alpha = (x), beta = y }", _PLAIN[1]),
+    ("1 axiom K { alpha = x,, beta = y, }", _PLAIN[1]),
+    ("1 axiom K { , beta = ( y ),alpha=x }", _PLAIN[1]),
+    (_PLAIN[0], "2 subst 1 x with ((x -> y))"),
+])
+def test_grouping_parens_and_empty_entries_read_as_the_plain_form(lines):
+    assert _two_steps(lines) == _two_steps(_PLAIN)
+
+
+@pytest.mark.parametrize("lines", [
+    ("1 axiom K { alpha = ((x)), beta = y }", _PLAIN[1]),
+    ("1 axiom K { alpha = (x) y, beta = y }", _PLAIN[1]),
+    (_PLAIN[0], "2 subst 1 x with (((x -> y)))"),
+    (_PLAIN[0], "2 subst 1 x with !(x)"),
+])
+def test_only_one_layer_of_grouping_parens(lines):
+    with pytest.raises(ParseError, match=r"\(line [34]\)$"):
+        _two_steps(lines)
+
+
+@pytest.mark.parametrize("text, line, cls", [
+    ('proof "p"\ngoal x\n1 axiom K { alpha = x $, beta = y }\nqed 1\n', 3, ParseError),
+    ('proof "p"\ngoal x\n\n1 axiom K { alpha = x, beta = y }\n\n', 4, ParseError),
+    ('proof "p"\ngoal x\n1 axiom K { alpha = x, beta = y }\nqed 2\n# end\n', 4, BadQed),
+    ('proof "p"\nsymbol f arity 1\ngoal x\n1 axiom K { alpha = x, beta = y }\n'
+     "2 subst 1 f with (x)\nqed 2\n", 5, NotAVariable),
+    ('proof "p"\ngoal x\n1 axiom K { alpha = x, beta = y }\nqed 1\nqed 1\n', 5, ParseError),
+    ('proof "p"\ngoal (x ->', 2, ParseError),
+    ('proof "p"\n', 1, ParseError),
+])
+def test_parse_errors_name_their_line(text, line, cls):
+    with pytest.raises(cls) as exc:
+        parse_proof(text)
+    assert exc.value.line == line
+    assert str(exc.value).endswith(f" (line {line})") and "None" not in str(exc.value)
+
+
 def test_parse_proof_rejects_bad_numbering():
     text = """proof "bad"
 goal (A -> A)
@@ -355,18 +422,6 @@ def _recursive_text(f):
     if not f.children:
         return f.root
     return f"{f.root}({', '.join(map(_recursive_text, f.children))})"
-
-
-fn_formulas = st.recursive(
-    st.sampled_from([atom("x"), atom("y"), atom("c")]),
-    lambda inner: st.one_of(
-        inner.map(neg),
-        st.tuples(inner, inner).map(lambda ab: imp(*ab)),
-        inner.map(lambda a: Formula("g", (a,))),
-        st.tuples(inner, inner, inner).map(lambda abc: Formula("h", abc)),
-    ),
-    max_leaves=16,
-)
 
 
 @given(fn_formulas, st.integers(0, 80))
