@@ -10,6 +10,7 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from itertools import groupby
 
 from .encmat import EncMatrix, NotAProduct, SymbolicRing, factor_elementary_product
 from .ffield import MERSENNE61, PrimeField
@@ -52,29 +53,18 @@ def _load_assignment(args, alloc: VarAllocation) -> Assignment:
 
 def _path_products(f: Formula, alloc: VarAllocation):
     """Preorder list of (edge-variable path, vertex variable) per node."""
-    out = []
-
-    def walk(node, path):
-        out.append((tuple(path), alloc.vid(node.root, 0)))
-        for slot, child in enumerate(node.children, 1):
-            walk(child, path + [alloc.vid(node.root, slot)])
-
-    walk(f, [])
+    out, stack = [], [(f, ())]
+    while stack:
+        node, path = stack.pop()
+        out.append((path, alloc.vid(node.root, 0)))
+        for slot in range(len(node.children), 0, -1):
+            stack.append((node.children[slot - 1], path + (alloc.vid(node.root, slot),)))
     return out
 
 
 def _product_str(vids, alloc) -> str:
-    if not vids:
-        return "1"
-    parts = []
-    run_var, run_len = vids[0], 0
-    for v in list(vids) + [None]:
-        if v == run_var:
-            run_len += 1
-            continue
-        parts.append(f"A({alloc.display(run_var)})" + (f"^{run_len}" if run_len > 1 else ""))
-        run_var, run_len = v, 1
-    return "".join(parts)
+    runs = [(alloc.display(v), len(list(run))) for v, run in groupby(vids)]
+    return "".join(f"A({name})" + (f"^{n}" if n > 1 else "") for name, n in runs) or "1"
 
 
 def cmd_encode(args) -> int:

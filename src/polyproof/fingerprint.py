@@ -218,12 +218,8 @@ def hom_subst(
 
 def degree_bound(*formulas: Formula) -> int:
     """Nodes on the longest root-to-leaf path of the formulas, which bounds every
-    entry degree; walked level by level, each shared subtree once per level."""
-    depth, level = 0, formulas
-    while level:
-        depth += 1
-        level = {id(c): c for f in level for c in f.children}.values()
-    return depth
+    entry degree: the largest depth the formulas carry, read without a walk."""
+    return max((f.depth for f in formulas), default=0)
 
 
 def axiom_fingerprint_via_template(

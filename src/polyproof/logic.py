@@ -26,10 +26,12 @@ Proof scripts are line oriented (``#`` starts a comment):
 
 A formula in a step (a binding or a ``with`` replacement) may sit inside
 one layer of grouping parentheses: ``alpha = (x)`` reads as ``alpha = x``.
-Steps are numbered consecutively from 1 and may only reference earlier
-steps.  Every ``ParseError`` from ``parse_proof`` names its line.
-``run_classical`` executes a script purely syntactically and is the
-ground-truth checker the matrix pipeline is tested against.
+Steps are numbered consecutively from 1, in ASCII digits, and may only
+reference earlier steps.  Every ``ParseError`` from ``parse_proof`` names
+its line.  ``run_classical`` executes a script purely syntactically and is
+the ground-truth checker the matrix pipeline is tested against.  A
+``Formula`` is immutable, carries its depth and compares by structure
+without recursion; formulas are unhashable.
 """
 
 from __future__ import annotations
@@ -91,10 +93,44 @@ class GoalMismatch(Exception):
     """The qed step derives a different formula than the declared goal."""
 
 
-@dataclass(frozen=True)
 class Formula:
-    root: str
-    children: Tuple["Formula", ...] = ()
+    """An immutable node ``root(children)`` carrying its ``depth``, the nodes on
+    its longest root-to-leaf path, computed once from the children's depths.
+    ``==`` is structural, without recursion, and compares each pair of shared
+    nodes once: equal DAGs built apart cost their distinct nodes, not their
+    trees.  Formulas are unhashable."""
+
+    __slots__ = ("root", "children", "depth")
+
+    def __init__(self, root: str, children: Tuple["Formula", ...] = ()):
+        depth = 0
+        for c in children:
+            if c.depth > depth:
+                depth = c.depth
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "depth", depth + 1)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Formula")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return Formula, (self.root, self.children)
+
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        seen, stack = set(), [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is not y and (id(x), id(y)) not in seen:
+                if x.root != y.root or x.depth != y.depth or len(x.children) != len(y.children):
+                    return False
+                seen.add((id(x), id(y)))
+                stack.extend(zip(x.children, y.children))
+        return True
 
     def __str__(self):
         return formula_text(self, None)
@@ -132,29 +168,6 @@ def imp(a: Formula, b: Formula) -> Formula:
 
 def neg(a: Formula) -> Formula:
     return Formula(NOT, (a,))
-
-
-def same_formula(a: Formula, b: Formula) -> bool:
-    """Structural equality, without recursion, comparing each pair of nodes once."""
-    seen, stack = set(), [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is not y and (id(x), id(y)) not in seen:
-            if x.root != y.root or len(x.children) != len(y.children):
-                return False
-            seen.add((id(x), id(y)))
-            stack.extend(zip(x.children, y.children))
-    return True
-
-
-def node_count(f: Formula) -> int:
-    return 1 + sum(node_count(c) for c in f.children)
-
-
-def occurrences(f: Formula, name: str) -> int:
-    if not f.children:
-        return 1 if f.root == name else 0
-    return sum(occurrences(c, name) for c in f.children)
 
 
 class Signature:
@@ -397,12 +410,12 @@ class ProofScript:
 
 
 _PROOF = re.compile(r'proof\s+"([^"]*)"')
-_SYMBOL = re.compile(rf"symbol\s+({_NAME})\s+arity\s+(\d+)")
+_SYMBOL = re.compile(rf"symbol\s+({_NAME})\s+arity\s+([0-9]+)")
 _GOAL = re.compile(r"goal\s")
-_STEP = re.compile(r"(\d+)\s+(axiom|mp|subst)\b\s*")
-_MP = re.compile(r"(\d+)\s+(\d+)")
-_SUBST = re.compile(rf"(\d+)\s+({_NAME})\s+(with|step)\s+(.+)")
-_QED = re.compile(r"qed\s+(\d+)")
+_STEP = re.compile(r"([0-9]+)\s+(axiom|mp|subst)\b\s*")
+_MP = re.compile(r"([0-9]+)\s+([0-9]+)")
+_SUBST = re.compile(rf"([0-9]+)\s+({_NAME})\s+(with|step)\s+(.+)")
+_QED = re.compile(r"qed\s+([0-9]+)")
 
 
 def parse_proof(text: str) -> ProofScript:
@@ -477,7 +490,7 @@ def _step(ln: str, sig: Signature, idx: int):
         raise NotAVariable(f"{var!r} has arity {sig.arity(var)}")
     if m.group(3) == "with":
         return SubstStep(src, var, replacement=_whole_formula(ln, sig, m.start(4), True))
-    if not m.group(4).isdecimal():
+    if not (m.group(4).isascii() and m.group(4).isdecimal()):
         raise ParseError("malformed subst step reference")
     return SubstStep(src, var, replacement_step=_ref(idx, int(m.group(4))))
 
@@ -516,8 +529,9 @@ def step_formulas(script: ProofScript, *, partial: bool = False) -> List[Formula
     """The formula derived at each step, executing the script syntactically.
 
     The formulas share subtrees (see ``_substitute``), so one substituted
-    into itself k times costs its distinct nodes, not its tree; a walk that
-    ignores sharing (``str``, ``node_count``) still pays for the tree.
+    into itself k times costs its distinct nodes, not its tree, and so does
+    the mp check's ``==``; a walk that ignores sharing (``str``) still pays
+    for the tree.
 
     With partial=True, stops at the first broken step and returns the
     prefix instead of raising.
@@ -530,7 +544,7 @@ def step_formulas(script: ProofScript, *, partial: bool = False) -> List[Formula
             elif isinstance(step, MPStep):
                 hyp = derived[step.hyp - 1]
                 impl = derived[step.imp - 1]
-                if impl.root != IMPLIES or not same_formula(impl.children[0], hyp):
+                if impl.root != IMPLIES or impl.children[0] != hyp:
                     if partial:
                         return derived
                     raise MPShapeMismatch(
@@ -555,7 +569,7 @@ def run_classical(script: ProofScript) -> Formula:
     """Execute the script syntactically; returns the goal on success."""
     derived = step_formulas(script)
     concluded = derived[script.qed - 1]
-    if not same_formula(concluded, script.goal):
+    if concluded != script.goal:
         proved, goal = formula_text(concluded), formula_text(script.goal)
         raise GoalMismatch(f"proved {proved}, goal was {goal}")
     return concluded

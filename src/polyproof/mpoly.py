@@ -255,7 +255,7 @@ class MPoly:
 
 # Each token is followed by one run of whitespace and never preceded by
 # one, so a failing match cannot split a run of blanks in many ways.
-_FACTOR = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(\d+))?")
+_FACTOR = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*([0-9]+))?")
 _TERM = rf"(?:{_FACTOR.pattern})\s*(?:\*\s*(?:{_FACTOR.pattern})\s*)*"
 _POLY = re.compile(rf"\s*(?:[+-]\s*)?{_TERM}(?:[+-]\s*{_TERM})*")
 _SIGNED_TERM = re.compile(r"\s*([+-]?)([^+-]+)")

@@ -58,7 +58,7 @@ from .logic import (
 )
 from .mpoly import MissingAssignment, NotDivisible, VarId
 
-_ASSIGNMENT_LINE = re.compile(r"(\S+)\s*=\s*(\d+)")
+_ASSIGNMENT_LINE = re.compile(r"(\S+)\s*=\s*([0-9]+)")
 
 
 class StrictCheckError(Exception):

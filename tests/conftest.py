@@ -19,6 +19,16 @@ def load_proof_text(name: str) -> str:
     return (PROOF_DIR / f"{name}.proof").read_text()
 
 
+def node_count(f: Formula) -> int:
+    return 1 + sum(node_count(c) for c in f.children)
+
+
+def occurrences(f: Formula, name: str) -> int:
+    if not f.children:
+        return 1 if f.root == name else 0
+    return sum(occurrences(c, name) for c in f.children)
+
+
 def _rename_last_leaf(f: Formula, name: str) -> Formula:
     if not f.children:
         return atom(name)

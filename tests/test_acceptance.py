@@ -28,15 +28,13 @@ from polyproof.logic import (
     imp,
     instantiate_axiom,
     neg,
-    node_count,
-    occurrences,
     parse_proof,
     run_classical,
     subst_syntactic,
 )
 from polyproof.protocol import verify, verify_symbolic
 
-from .conftest import SEED1, load_proof_text, random_formula
+from .conftest import SEED1, load_proof_text, node_count, occurrences, random_formula
 
 RING = SymbolicRing()
 

@@ -363,13 +363,16 @@ def dbl_text(k: int) -> str:
     )
 
 
-@pytest.mark.parametrize("k, depth", [(5, 65), (8, 513)])
+@pytest.mark.parametrize("k, depth", [(5, 65), (8, 513), (12, 8193), (14, 32769)])
 def test_verify_field_self_substitution_costs_distinct_nodes(capsys, tmp_path, k, depth):
     # The tree of the last formula has 3^(2^k) leaves but 2^(k+1) + 2
-    # distinct nodes, and the syntactic replay builds only those.
+    # distinct nodes, and the syntactic replay builds only those; the
+    # degree bound reads the depth each node carries, without a walk.
     proof = tmp_path / "dbl.proof"
     proof.write_text(dbl_text(k))
+    start = time.perf_counter()
     code, out, _ = run(capsys, "verify", str(proof), "--mode", "field", "--seed", "01")
+    assert time.perf_counter() - start < 2.0
     assert code == 1
     assert f"d-bound {depth}" in out
     assert "verdict=reject" in out

@@ -34,12 +34,11 @@ from polyproof.logic import (
     imp,
     instantiate_axiom,
     neg,
-    node_count,
-    occurrences,
     parse_formula,
     subst_syntactic,
 )
 
+from .conftest import node_count, occurrences
 
 RING = SymbolicRing()
 

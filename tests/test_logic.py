@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from dataclasses import replace
 
@@ -30,7 +32,6 @@ from polyproof.logic import (
     parse_formula,
     parse_proof,
     run_classical,
-    same_formula,
     step_formulas,
     subst_syntactic,
 )
@@ -360,8 +361,9 @@ def test_run_classical_subst_fixtures():
 
 @given(formulas, formulas)
 def test_same_formula_is_structural_equality(f, g):
-    assert same_formula(f, g) == (f == g)
-    assert same_formula(imp(f, g), imp(f, g)) and same_formula(f, f)
+    assert (f == g) == (str(f) == str(g))
+    assert (f != g) == (str(f) != str(g))
+    assert imp(f, g) == imp(f, g) and f == f
 
 
 def test_same_formula_compares_equal_dags_built_apart():
@@ -371,12 +373,44 @@ def test_same_formula_compares_equal_dags_built_apart():
             f = imp(f, f)
         return f
 
-    assert same_formula(doubled(100, atom("x")), doubled(100, atom("x")))
-    assert not same_formula(doubled(100, atom("x")), doubled(100, atom("y")))
+    start = time.perf_counter()
+    assert doubled(100, atom("x")) == doubled(100, atom("x"))
+    assert doubled(100, atom("x")) != doubled(100, atom("y"))
     deep = [atom("x"), atom("x")]
     for _ in range(5000):
         deep = [neg(f) for f in deep]
-    assert same_formula(*deep)
+    assert deep[0] == deep[1] and deep[0].depth == 5001
+    assert time.perf_counter() - start < 1.0
+
+
+def test_formula_is_immutable_and_unhashable():
+    f = imp(atom("x"), neg(atom("y")))
+    for field in ("root", "children", "depth"):
+        with pytest.raises(AttributeError):
+            setattr(f, field, getattr(f, field))
+        with pytest.raises(AttributeError):
+            delattr(f, field)
+    with pytest.raises(TypeError):
+        hash(f)
+    assert (f.root, f.depth, f.children[1].depth) == ("->", 3, 2)
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and g.depth == 3
+
+
+@pytest.mark.parametrize("body", [
+    "symbol f arity \u0661\ngoal x\n1 axiom K { alpha = x, beta = x }\nqed 1",
+    "goal x\n\u0661 axiom K { alpha = x, beta = x }\nqed 1",
+    "goal x\n1 axiom K { alpha = x, beta = x }\n2 mp \u0661 1\nqed 2",
+    "goal x\n1 axiom K { alpha = x, beta = x }\n2 subst \u0661 x with (y)\nqed 2",
+    "goal x\n1 axiom K { alpha = x, beta = x }\n2 subst 1 x step \u0661\nqed 2",
+    "goal x\n1 axiom K { alpha = x, beta = x }\nqed \u0661",
+])
+def test_proof_numbers_are_ascii_digits(body):
+    # U+0661 ARABIC-INDIC DIGIT ONE is a Unicode decimal digit, but no
+    # arity, step number or step reference.
+    parse_proof('proof "p"\n' + body.replace("\u0661", "1"))
+    with pytest.raises(ParseError):
+        parse_proof('proof "p"\n' + body)
 
 
 def dbl5_twice_text():
@@ -397,7 +431,7 @@ def test_mp_and_goal_checks_on_equal_dags_built_apart():
     derived = step_formulas(script)
     assert derived[14].root == "->" and derived[14].children[0] is derived[11]
     goal = step_formulas(parse_proof(text))[14]
-    assert same_formula(run_classical(replace(script, goal=goal)), goal)
+    assert run_classical(replace(script, goal=goal)) == goal
 
 
 def test_mismatch_messages_quote_large_formulas_briefly():

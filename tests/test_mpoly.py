@@ -156,6 +156,15 @@ def test_parse_names_the_offset_where_malformed_text_stops():
         MPoly.parse("X1^" + "*" * 1000)
 
 
+def test_parse_reads_ascii_digits_only():
+    # U+0662 and U+0663 are Arabic-Indic digits, which int() reads as 2 and 3.
+    assert MPoly.parse("3*X1^2") == MPoly.const(3) * X1 * X1
+    with pytest.raises(ValueError, match="offset 0"):
+        MPoly.parse("\u0663*X1^2")
+    with pytest.raises(ValueError, match="offset 4"):
+        MPoly.parse("3*X1^\u0662")
+
+
 def test_parse_rejects_unknown_names():
     with pytest.raises(ValueError):
         MPoly.parse("Q + 1")

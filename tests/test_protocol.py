@@ -252,6 +252,15 @@ def test_assignment_file_rejects_bad_values():
         Assignment.from_file_text("I = 7\n", alloc)
 
 
+def test_assignment_file_numbers_are_ascii_digits():
+    # U+0661..U+0663 are Arabic-Indic digits, which int() reads as 1..3.
+    alloc = VarAllocation(fixture("imp_refl").signature)
+    with pytest.raises(ValueError, match="line 1: malformed"):
+        Assignment.from_file_text("prime = \u0661\u0660\u0661\n", alloc)
+    with pytest.raises(ValueError, match="line 2: malformed"):
+        Assignment.from_file_text("prime = 101\nI = \u0663\n", alloc)
+
+
 def test_assignment_must_cover_needed_variables():
     script = fixture("imp_refl")
     alloc = VarAllocation(script.signature)
