@@ -1,11 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 accept, 1 reject, 2 malformed input or internal disagreement.
+Exit codes: 0 accept, 1 reject, 2 malformed input or internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -37,6 +38,13 @@ def _parse_seed(text: str) -> bytes:
     if len(raw) > 32:
         raise ValueError("seed longer than 32 bytes")
     return raw.rjust(32, b"\x00")
+
+
+def _ascii_int(text: str) -> int:
+    """An integer option in ASCII digits, as proof scripts and assignment files take."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _fiat_shamir_seed(proof: bytes, prime: int) -> bytes:
@@ -234,6 +242,7 @@ def cmd_keygen(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)  # built on first use, then reused by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyproof",
@@ -245,25 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
     enc = sub.add_parser("encode", help="fingerprint a single formula")
     enc.add_argument("formula")
     enc.add_argument("--symbolic", action="store_true", help="exact polynomial output")
-    enc.add_argument("--prime", type=int, default=None)
+    enc.add_argument("--prime", type=_ascii_int, default=None)
     enc.add_argument("--seed", help="hex seed, up to 32 bytes, left-padded")
     enc.add_argument("--assign", help="assignment file path")
     enc.set_defaults(func=cmd_encode)
 
     ver = sub.add_parser("verify", help="verify a proof script")
     ver.add_argument("proof")
-    ver.add_argument("--prime", type=int, default=None,
+    ver.add_argument("--prime", type=_ascii_int, default=None,
                      help=f"field modulus (default {MERSENNE61})")
     ver.add_argument("--seed", help="hex seed, up to 32 bytes, left-padded")
     ver.add_argument("--assign", help="assignment file path")
-    ver.add_argument("--repeats", type=int, default=1)
+    ver.add_argument("--repeats", type=_ascii_int, default=1)
     ver.add_argument("--mode", choices=("field", "symbolic", "both"), default=None)
     ver.add_argument("--strict", action="store_true",
                      help="cross-check axiom fingerprints against the template route")
     ver.add_argument("--fiat-shamir", action="store_true",
                      help="derive the seed from the proof text and the prime (no "
                           "non-interactive security claim)")
-    ver.add_argument("--tamper-step", type=int, default=None,
+    ver.add_argument("--tamper-step", type=_ascii_int, default=None,
                      help="test hook: corrupt the given step before verifying")
     ver.set_defaults(func=cmd_verify)
 
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     key = sub.add_parser("keygen", help="emit a random assignment file for a proof")
     key.add_argument("proof")
-    key.add_argument("--prime", type=int, default=MERSENNE61)
+    key.add_argument("--prime", type=_ascii_int, default=MERSENNE61)
     key.add_argument("--seed", required=True, help="hex seed, up to 32 bytes, left-padded")
     key.add_argument("-o", "--out", default=None)
     key.set_defaults(func=cmd_keygen)
@@ -296,6 +305,8 @@ def main(argv=None) -> int:
         OSError,
         json.JSONDecodeError,
         RecursionError,
+        ArithmeticError,  # NotDivisible, ZeroInverse
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,9 @@ node u, each entry is a sum with one term per node:
     [f] = (sum_u P(u) x_vertex(u), sum_u P(u) |subtree(u)|, #nodes)
 
 so ``encode_fingerprint`` walks the tree once, without recursion, at one
-ring product per node: P(child) = P(u) x_edge.
+ring product per node: P(child) = P(u) x_edge.  An axiom is walked as its
+scheme's template, each metavariable leaf read as its binding, so the
+instance is never built.
 Distinct formulas get distinct matrices up to 6 nodes; from 7 nodes on the
 encoding is slightly coarser than formula identity (see README, "Known
 limitation").
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .encmat import EncMatrix, elem, elem_inv_mul, zero_matrix
 from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
@@ -61,15 +63,15 @@ class VarAllocation:
     """
 
     def __init__(self, sig: Signature):
-        self._vid: Dict[Tuple[str, int], VarId] = {}
+        self.slots: Dict[str, Tuple[VarId, ...]] = {}  # (vertex, edge 1, ..., edge d)
         self._display: List[str] = []
         used = set()
 
-        def claim(sym: str, slot_names: Iterable[str]):
-            for slot, nm in enumerate(slot_names):
-                self._vid[(sym, slot)] = len(self._display)
-                self._display.append(nm)
-                used.add(nm)
+        def claim(sym: str, slot_names: Sequence[str]):
+            start = len(self._display)
+            self.slots[sym] = tuple(range(start, start + len(slot_names)))
+            self._display += slot_names
+            used.update(slot_names)
 
         for sym, slot_names in _BUILTIN_SLOTS:
             claim(sym, slot_names)
@@ -95,8 +97,8 @@ class VarAllocation:
 
     def vid(self, sym: str, slot: int = 0) -> VarId:
         try:
-            return self._vid[(sym, slot)]
-        except KeyError:
+            return self.slots[sym][slot]
+        except (KeyError, IndexError):
             raise UnallocatedSymbol(f"no variable for symbol {sym!r} slot {slot}") from None
 
     def display(self, vid: VarId) -> str:
@@ -135,12 +137,15 @@ def encode(f: Formula, alloc: VarAllocation, ring) -> EncMatrix:
 
 
 def encode_fingerprint(
-    f: Formula, alloc: VarAllocation, ring, tracked: Iterable[str]
+    f: Formula, alloc: VarAllocation, ring, tracked: Iterable[str],
+    binding: Optional[Dict[str, Formula]] = None,
 ) -> Fingerprint:
     """The closed form above, from one walk.  Variables are read in preorder,
     each edge's just before its child, so a ring missing several values
-    names the first one the recursive definition reaches."""
-    tracked = set(tracked)
+    names the first one the recursive definition reaches.  A leaf named in
+    ``binding`` is walked as the formula bound to it, as if substituted."""
+    tracked, binding = set(tracked), binding or {}
+    slots, var, reduce = alloc.slots, ring.var, ring.reduce
     vertex: Dict[VarId, tuple] = {}  # vertex variable: (value, [(1, P(u))])
     sized, nodes = [], 0  # (|subtree(u)|, P(u)); nodes entered so far
     leaves = {}  # (1, P(l)) per t-leaf l, for the tracked atoms t met so far
@@ -150,24 +155,28 @@ def encode_fingerprint(
         node, p, edge = stack.pop()
         if node is None:  # p's subtree is done; edge holds the counts at its start
             sized.append((nodes - edge[0], p))
-            for (t, seen), n in zip_longest(leaves.items(), edge[1:], fillvalue=0):
-                if len(seen) > n:
-                    below.setdefault(t, []).append((len(seen) - n, p))
+            if leaves:
+                for (t, seen), n in zip_longest(leaves.items(), edge[1:], fillvalue=0):
+                    if len(seen) > n:
+                        below.setdefault(t, []).append((len(seen) - n, p))
             continue
         nodes += 1
-        p = p if edge is None else ring.reduce(p * ring.var(edge))
-        v = alloc.vid(node.root, 0)
-        if v not in vertex:
-            vertex[v] = (ring.var(v), [])
-        vertex[v][1].append((1, p))
-        if node.children:
-            stack.append((None, p, [nodes - 1, *map(len, leaves.values())]))
+        p = p if edge is None else reduce(p * var(edge))
+        node = binding.get(node.root, node)
+        root, kids = node.root, node.children
+        ids = slots.get(root) or alloc.vid(root)  # vid raises UnallocatedSymbol
+        if ids[0] not in vertex:
+            vertex[ids[0]] = (var(ids[0]), [])
+        vertex[ids[0]][1].append((1, p))
+        if kids:
+            start = (nodes - 1, *map(len, leaves.values())) if leaves else (nodes - 1,)
+            stack.append((None, p, start))
+            for slot in range(len(kids), 0, -1):
+                stack.append((kids[slot - 1], p, ids[slot]))
         else:
             sized.append((1, p))
-            if node.root in tracked:
-                leaves.setdefault(node.root, []).append((1, p))
-        for slot in range(len(node.children), 0, -1):
-            stack.append((node.children[slot - 1], p, alloc.vid(node.root, slot)))
+            if root in tracked:
+                leaves.setdefault(root, []).append((1, p))
     lc, one = ring.lincomb, ring.one()
     main = EncMatrix(
         lc([(1, x * lc(ps)) for x, ps in vertex.values()]), lc(sized), lc([(nodes, one)])

@@ -351,6 +351,12 @@ class AxiomScheme:
     metavars: Tuple[str, ...]
     template: Formula
 
+    def check_binding(self, binding: Dict[str, Formula]) -> None:
+        """Raise MissingBinding unless binding names every metavariable."""
+        for mv in self.metavars:
+            if mv not in binding:
+                raise MissingBinding(f"axiom {self.name} needs {mv}")
+
 
 _MA, _MB, _MC = atom("alpha"), atom("beta"), atom("gamma")
 
@@ -369,9 +375,7 @@ AXIOM_SCHEMES: Dict[str, AxiomScheme] = {
 
 def instantiate_axiom(scheme: AxiomScheme, binding: Dict[str, Formula]) -> Formula:
     """Simultaneously substitute the metavariables of the template."""
-    for mv in scheme.metavars:
-        if mv not in binding:
-            raise MissingBinding(f"axiom {scheme.name} needs {mv}")
+    scheme.check_binding(binding)
     return _substitute(scheme.template, binding)
 
 

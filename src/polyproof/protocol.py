@@ -240,7 +240,8 @@ def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, stric
     for idx, step in enumerate(script.steps, 1):
         if isinstance(step, AxiomStep):
             scheme = AXIOM_SCHEMES[step.scheme]
-            fp = encode_fingerprint(instantiate_axiom(scheme, step.binding), alloc, ring, tracked)
+            scheme.check_binding(step.binding)
+            fp = encode_fingerprint(scheme.template, alloc, ring, tracked, step.binding)
             if strict:
                 fp2 = axiom_fingerprint_via_template(scheme, step.binding, alloc, ring, tracked)
                 if fp != fp2:

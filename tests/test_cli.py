@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyproof import cli
 from polyproof.cli import main
 from polyproof.encmat import SymbolicRing, product_of
-from polyproof.ffield import MERSENNE61
+from polyproof.ffield import MERSENNE61, ZeroInverse
 from polyproof.logic import ParseError, parse_proof
+from polyproof.mpoly import NotDivisible
 
 from .conftest import PROOF_DIR, atom_swap_text, load_proof_text
 
@@ -352,6 +354,59 @@ def test_verify_symbolic_takes_no_point_flags(capsys, tmp_path):
 def test_bad_flags_exit_2(capsys):
     assert main(["verify"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv, ascii_value, ascii_code, digits", [
+    (["encode", "x", "--seed", "01", "--prime"], "101", 0, "\u0661\u0660\u0661"),
+    (["verify", IMP_REFL, "--mode", "field", "--seed", "01", "--prime"], "101", 0,
+     "\u0661\u0660\u0661"),
+    (["verify", IMP_REFL, "--mode", "field", "--seed", "01", "--repeats"], "2", 0, "\u0662"),
+    (["verify", IMP_REFL, "--mode", "field", "--seed", "01", "--tamper-step"], "1", 1,
+     "\uff11"),
+    (["keygen", IMP_REFL, "--seed", "ab", "--prime"], "101", 0, "\u0661\u0660\u0661"),
+])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, ascii_value, ascii_code, digits):
+    # int() reads every Unicode decimal digit; the flags, like proof scripts
+    # and assignment files, take ASCII digits only.
+    assert int(digits) == int(ascii_value)
+    assert run(capsys, *argv, ascii_value)[0] == ascii_code
+    code, out, err = run(capsys, *argv, digits)
+    assert (code, out) == (2, "")
+    assert f"error: argument {argv[-1]}: invalid int value: {digits!r}" in err
+
+
+@pytest.mark.parametrize("exc", [NotDivisible("x"), ZeroInverse("0"), MemoryError("full")])
+def test_internal_errors_exit_2(capsys, monkeypatch, exc):
+    # Under the console script an escaping exception exits 1, which reads as reject.
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify", fail)
+    code, out, err = run(capsys, "verify", IMP_REFL, "--mode", "field", "--seed", "01")
+    assert (code, out, err) == (2, "", f"error: {exc}\n")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_calls_in_one_process_keep_their_own_results(capsys):
+    # One parser serves every call, so no value may carry over to the next call.
+    calls = [
+        (["--help"], 0),
+        (["verify", IMP_REFL, "--no-such-flag"], 2),
+        (["verify", IMP_REFL, "--seed", "01"], 0),
+        (["verify", IMP_REFL], 2),
+        (["verify", IMP_REFL, "--mode", "symbolic"], 0),
+    ]
+    first = [run(capsys, *argv) for argv, _ in calls]
+    assert [code for code, _, _ in first] == [code for _, code in calls]
+    assert first[0][1].startswith("usage: polyproof")
+    assert "unrecognized arguments: --no-such-flag" in first[1][2]
+    assert "verdict=accept" in first[2][1] and "symbolic verdict=accept" in first[2][1]
+    assert first[3] == (2, "", "error: field mode needs --seed, --assign or --fiat-shamir\n")
+    assert first[4] == (0, "symbolic verdict=accept\n", "")
+    assert [run(capsys, *argv) for argv, _ in reversed(calls)] == first[::-1]
 
 
 def dbl_text(k: int) -> str:

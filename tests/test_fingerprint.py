@@ -37,6 +37,7 @@ from polyproof.logic import (
     parse_formula,
     subst_syntactic,
 )
+from polyproof.mpoly import MissingAssignment
 
 from .conftest import node_count, occurrences
 
@@ -95,6 +96,8 @@ def test_allocation_unknown_symbol():
     _, alloc = make_alloc()
     with pytest.raises(UnallocatedSymbol):
         alloc.vid("w")
+    with pytest.raises(UnallocatedSymbol):
+        encode(imp(atom("x"), atom("w")), alloc, RING)
 
 
 def test_encode_leaf():
@@ -259,6 +262,68 @@ def test_axiom_template_route_matches_direct():
                 assert direct == via
                 vanished += "A" not in direct.helpers
         assert (vanished > 0) == (prime is not None)
+
+
+binding_formulas = st.recursive(
+    st.sampled_from([atom("x"), atom("y"), atom("z")]),
+    lambda inner: st.one_of(
+        inner.map(neg),
+        st.tuples(inner, inner).map(lambda ab: imp(*ab)),
+        inner.map(lambda a: Formula("g", (a,))),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=120)
+@given(
+    st.sampled_from(sorted(AXIOM_SCHEMES)),
+    st.lists(binding_formulas, min_size=3, max_size=3),
+    st.sampled_from([None, 3, (1 << 61) - 1]),
+    st.booleans(),
+    st.integers(0, 10**9),
+)
+def test_template_walk_matches_instance(name, formulas, prime, track_all, salt):
+    # The template walked with its binding encodes as the instantiated axiom,
+    # in both rings, with no atom tracked and with every atom tracked.
+    scheme = AXIOM_SCHEMES[name]
+    binding = dict(zip(scheme.metavars, formulas))
+    _, alloc = make_alloc(extra=(("g", 1),))
+    ring = RING
+    if prime is not None:
+        rng, field = random.Random(salt), PrimeField(prime)
+        ring = FieldRing(field, {v: field.elem(rng.randrange(2, prime)) for v in range(alloc.size)})
+    tracked = ("x", "y", "z") if track_all else ()
+    instance = instantiate_axiom(scheme, binding)
+    assert encode_fingerprint(scheme.template, alloc, ring, tracked, binding) == (
+        encode_fingerprint(instance, alloc, ring, tracked)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_SCHEMES))
+def test_template_walk_names_the_missing_value_the_instance_names(name):
+    # With values dropped at random, the template walk and the walk of the
+    # instance fail at the same variable, or both succeed alike.
+    scheme = AXIOM_SCHEMES[name]
+    binding = dict(zip(scheme.metavars, (
+        imp(atom("x"), Formula("g", (neg(atom("y")),))), neg(atom("z")), imp(atom("y"), atom("x"))
+    )))
+    _, alloc = make_alloc(extra=(("g", 1),))
+    instance = instantiate_axiom(scheme, binding)
+    field, rng = PrimeField(101), random.Random(name)
+    missing = 0
+    for _ in range(200):
+        ring = FieldRing(field, {v: field.elem(rng.randrange(2, 101))
+                                 for v in range(alloc.size) if rng.random() < 0.8})
+        outcomes = []
+        for f, b in ((scheme.template, binding), (instance, None)):
+            try:
+                outcomes.append(encode_fingerprint(f, alloc, ring, ("x", "y", "z"), b))
+            except MissingAssignment as exc:
+                outcomes.append(("missing", exc.var))
+        assert outcomes[0] == outcomes[1]
+        missing += isinstance(outcomes[0], tuple)
+    assert 0 < missing < 200
 
 
 def test_degree_bound_examples():

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from polyproof import protocol
 from polyproof.cli import _tamper
 from polyproof.encmat import EncMatrix, SymbolicRing, zero_matrix
 from polyproof.ffield import MERSENNE61, PrimeField
-from polyproof.fingerprint import VarAllocation
+from polyproof.fingerprint import VarAllocation, encode
 from polyproof.logic import (
     GoalMismatch,
+    MissingBinding,
     MPShapeMismatch,
     MPStep,
     atom,
@@ -155,6 +157,32 @@ def test_field_steps_are_symbolic_steps_evaluated(name, prime):
                     assert zero_matrix(SymbolicRing()) not in exact.helpers.values()
                     for t in fp.helpers.keys() | exact.helpers.keys():
                         assert fp.helpers[t] == ev(exact.helpers[t]), (rec.index, t, script)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_propagate_builds_no_axiom_instance(name, monkeypatch):
+    def refuse(scheme, binding):
+        raise AssertionError(f"axiom {scheme.name} instantiated")
+
+    monkeypatch.setattr(protocol, "instantiate_axiom", refuse)
+    script = fixture(name)
+    alloc = VarAllocation(script.signature)
+    field_ring = Assignment.from_seed(SEED1, M61, alloc).ring()
+    for ring, tracked in ((SymbolicRing(), script_atoms(script)),
+                          (field_ring, tracked_atoms(script))):
+        records, fps = propagate(script, alloc, ring, tracked, strict=True)
+        assert len(records) == len(script.steps)
+        assert fps[script.qed - 1].main == encode(script.goal, alloc, ring)
+
+
+def test_propagate_missing_binding_raises():
+    script = fixture("imp_refl")
+    step = script.steps[0]
+    broken = replace(script, steps=(replace(step, binding={"alpha": step.binding["alpha"]}),)
+                     + script.steps[1:])
+    alloc = VarAllocation(script.signature)
+    with pytest.raises(MissingBinding, match="axiom K needs beta"):
+        propagate(broken, alloc, SymbolicRing(), script_atoms(script))
 
 
 def test_tampered_binding_rejected():
