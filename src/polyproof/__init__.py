@@ -24,7 +24,6 @@ from .fingerprint import (
     Fingerprint,
     UnallocatedSymbol,
     VarAllocation,
-    degree_bound,
     encode,
     encode_fingerprint,
     hom_mp,

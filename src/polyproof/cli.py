@@ -76,7 +76,7 @@ def _product_str(vids, alloc) -> str:
 
 
 def cmd_encode(args) -> int:
-    sig = Signature()
+    sig = Signature(declares_functions=True)
     formula = parse_formula(args.formula, sig)
     alloc = VarAllocation(sig)
     tracked = sig.atoms()

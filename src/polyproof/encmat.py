@@ -66,6 +66,10 @@ class SymbolicRing:
         return MPoly.one()
 
     lincomb = staticmethod(MPoly.lincomb)
+    const = staticmethod(MPoly.const)
+
+    def dot(self, groups) -> MPoly:  # the sum of x * (sum of es) over (polynomial x, es)
+        return MPoly.lincomb([(1, [x * MPoly.lincomb([(1, es)]) for x, es in groups])])
 
     def reduce(self, x):  # an entry or a matrix; exact, so nothing to reduce
         return x
@@ -98,8 +102,10 @@ class FieldRing:
     def reduce(self, x):  # an entry or a matrix, into [0, p)
         return x % self.p
 
-    def lincomb(self, pairs) -> int:  # the sum of c * e, reduced once
-        return sum(c * e for c, e in pairs) % self.p
+    def lincomb(self, groups) -> int:  # the sum of c * (sum of es) over (c, es), reduced once
+        return sum(c * sum(es) for c, es in groups) % self.p
+
+    const, dot = reduce, lincomb  # elements are ints: const reduces n, and dot's x acts as a c
 
     def div_by_var(self, x: int, v: VarId) -> int:
         if v not in self._inverse:

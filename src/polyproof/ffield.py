@@ -21,6 +21,7 @@ identical point sequences.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 MERSENNE61 = (1 << 61) - 1
@@ -33,6 +34,7 @@ class ZeroInverse(ArithmeticError):
     """Attempt to invert (or divide by) zero."""
 
 
+@functools.lru_cache  # a process asks about one or two moduli, on every field it builds
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 2**64."""
     if n < 2:

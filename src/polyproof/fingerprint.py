@@ -146,19 +146,19 @@ def encode_fingerprint(
     ``binding`` is walked as the formula bound to it, as if substituted."""
     tracked, binding = set(tracked), binding or {}
     slots, var, reduce = alloc.slots, ring.var, ring.reduce
-    vertex: Dict[VarId, tuple] = {}  # vertex variable: (value, [(1, P(u))])
-    sized, nodes = [], 0  # (|subtree(u)|, P(u)); nodes entered so far
-    leaves = {}  # (1, P(l)) per t-leaf l, for the tracked atoms t met so far
-    below = {}  # (#t-leaves under u, P(u)) per inner u
+    vertex: Dict[VarId, tuple] = {}  # vertex variable: (value, [P(u) per node u])
+    sized, nodes = {1: []}, 0  # |subtree(u)|: [P(u) per node u]; nodes entered so far
+    leaves = {}  # t: [P(l) per t-leaf l], for the tracked atoms t met so far
+    below = {}  # t: {#t-leaves under u: [P(u) per inner u]}
     stack = [(f, ring.one(), None)]
     while stack:
         node, p, edge = stack.pop()
         if node is None:  # p's subtree is done; edge holds the counts at its start
-            sized.append((nodes - edge[0], p))
+            sized.setdefault(nodes - edge[0], []).append(p)
             if leaves:
                 for (t, seen), n in zip_longest(leaves.items(), edge[1:], fillvalue=0):
                     if len(seen) > n:
-                        below.setdefault(t, []).append((len(seen) - n, p))
+                        below.setdefault(t, {}).setdefault(len(seen) - n, []).append(p)
             continue
         nodes += 1
         p = p if edge is None else reduce(p * var(edge))
@@ -167,22 +167,20 @@ def encode_fingerprint(
         ids = slots.get(root) or alloc.vid(root)  # vid raises UnallocatedSymbol
         if ids[0] not in vertex:
             vertex[ids[0]] = (var(ids[0]), [])
-        vertex[ids[0]][1].append((1, p))
+        vertex[ids[0]][1].append(p)
         if kids:
             start = (nodes - 1, *map(len, leaves.values())) if leaves else (nodes - 1,)
             stack.append((None, p, start))
             for slot in range(len(kids), 0, -1):
                 stack.append((kids[slot - 1], p, ids[slot]))
         else:
-            sized.append((1, p))
+            sized[1].append(p)
             if root in tracked:
-                leaves.setdefault(root, []).append((1, p))
-    lc, one = ring.lincomb, ring.one()
-    main = EncMatrix(
-        lc([(1, x * lc(ps)) for x, ps in vertex.values()]), lc(sized), lc([(nodes, one)])
-    )
+                leaves.setdefault(root, []).append(p)
+    lc, const = ring.lincomb, ring.const
+    main = EncMatrix(ring.dot(vertex.values()), lc(sized.items()), const(nodes))
     return Fingerprint(main, Helpers(ring, (
-        (t, EncMatrix(lc(ps), lc(below.get(t, ())), lc([(len(ps), one)])))
+        (t, EncMatrix(lc([(1, ps)]), lc(below.get(t, {}).items()), const(len(ps))))
         for t, ps in leaves.items()
     )))
 
@@ -223,12 +221,6 @@ def hom_subst(
         graft = hv * fp_repl.helpers[x]
         helpers[x] = ring.reduce(graft if x == var else fp_src.helpers[x] + graft)
     return Fingerprint(main, Helpers(ring, helpers.items()))
-
-
-def degree_bound(*formulas: Formula) -> int:
-    """Nodes on the longest root-to-leaf path of the formulas, which bounds every
-    entry degree: the largest depth the formulas carry, read without a walk."""
-    return max((f.depth for f in formulas), default=0)
 
 
 def axiom_fingerprint_via_template(

@@ -9,9 +9,9 @@ is no precedence to resolve):
              | name '(' formula {',' formula} ')'
 
 Arity-0 symbols are substitutable variables.  Symbols of positive arity
-must be declared before use; bare atoms are declared implicitly while
-parsing.  The names ``alpha``, ``beta`` and ``gamma`` are reserved for
-axiom-scheme metavariables and are rejected as formula symbols.
+must be declared before use (``encode`` declares each at its first use);
+bare atoms are declared while parsing.  The names ``alpha``, ``beta`` and
+``gamma`` name axiom-scheme metavariables and are rejected as symbols.
 
 Proof scripts are line oriented (``#`` starts a comment):
 
@@ -173,8 +173,9 @@ def neg(a: Formula) -> Formula:
 class Signature:
     """Symbol table: name -> arity.  '->' and '!' are always present."""
 
-    def __init__(self):
+    def __init__(self, declares_functions: bool = False):
         self._arity: Dict[str, int] = {IMPLIES: 2, NOT: 1}
+        self.declares_functions = declares_functions  # at the arity of a symbol's first use
 
     def declare(self, name: str, arity: int) -> None:
         if name in METAVARIABLES:
@@ -236,6 +237,15 @@ class _Cursor:
         self.i += 1
         return tok
 
+    def call_arity(self) -> int:
+        """The arguments of the call whose '(' was just taken: its top-level commas, plus one."""
+        depth, arity = 0, 1
+        for tok, _ in self.tokens[self.i:]:  # the last token, None, ends every scan
+            depth += (tok == "(") - (tok == ")")
+            if depth < 0 or tok is None:
+                return arity
+            arity += depth == 0 and tok == ","
+
     def fail(self, message: str, cls=ParseError, at: Optional[int] = None):
         """Raise cls at token number at, or else at the next token, which the message names."""
         if at is None:
@@ -272,6 +282,8 @@ def _formula(cur: _Cursor, sig: Signature, group: bool = False) -> Formula:
         cur.fail(f"{tok!r} is reserved for axiom metavariables", at=at)
     if cur.peek() == "(":
         cur.take()
+        if sig.declares_functions and not sig.has(tok):
+            sig.declare(tok, cur.call_arity())
         args = [_formula(cur, sig)]
         while cur.peek() == ",":
             cur.take()
@@ -350,6 +362,18 @@ class AxiomScheme:
     name: str
     metavars: Tuple[str, ...]
     template: Formula
+
+    def __post_init__(self):  # sets leaf_depths: each symbol's greatest depth, the root's being 1
+        depths, stack = {}, [(self.template, 1)]
+        while stack:
+            node, d = stack.pop()
+            stack += [(c, d + 1) for c in node.children]
+            depths[node.root] = max(d, depths.get(node.root, 0))
+        object.__setattr__(self, "leaf_depths", depths)
+
+    def instance_depth(self, binding: Dict[str, Formula]) -> int:
+        """The depth of the instance under binding, without building it."""
+        return max(self.leaf_depths[mv] - 1 + binding[mv].depth for mv in self.metavars)
 
     def check_binding(self, binding: Dict[str, Formula]) -> None:
         """Raise MissingBinding unless binding names every metavariable."""

@@ -108,12 +108,13 @@ class MPoly:
         return MPoly(terms)
 
     @staticmethod
-    def lincomb(pairs) -> "MPoly":
-        """The sum of c * poly over (int c, MPoly poly) pairs, merged in one pass."""
+    def lincomb(groups) -> "MPoly":
+        """The sum of c * (sum of polys) over (int c, polys) groups, merged in one pass."""
         terms: dict = {}
-        for c, poly in pairs:
-            for m, k in poly._terms.items():
-                terms[m] = terms.get(m, 0) + c * k
+        for c, polys in groups:
+            for poly in polys:
+                for m, k in poly._terms.items():
+                    terms[m] = terms.get(m, 0) + c * k
         return MPoly(terms)
 
     def __eq__(self, other):

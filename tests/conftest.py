@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,21 @@ SEED1 = bytes(31) + b"\x01"
 
 def load_proof_text(name: str) -> str:
     return (PROOF_DIR / f"{name}.proof").read_text()
+
+
+def benchmark_cases():
+    """The benchmark's proof-script generators, ``perfbench/cases.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cases", PROOF_DIR.parent / "perfbench" / "cases.py")
+    cases = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(cases)
+    return cases
+
+
+def degree_bound(*formulas: Formula) -> int:
+    """Nodes on the longest root-to-leaf path of the formulas, which bounds every
+    entry degree: the largest depth the formulas carry, read without a walk."""
+    return max((f.depth for f in formulas), default=0)
 
 
 def node_count(f: Formula) -> int:

@@ -14,7 +14,6 @@ from polyproof.encmat import FieldRing, SymbolicRing, factor_elementary_product,
 from polyproof.ffield import MERSENNE61, PrimeField
 from polyproof.fingerprint import (
     VarAllocation,
-    degree_bound,
     encode,
     encode_fingerprint,
     hom_mp,
@@ -34,7 +33,14 @@ from polyproof.logic import (
 )
 from polyproof.protocol import verify, verify_symbolic
 
-from .conftest import SEED1, load_proof_text, node_count, occurrences, random_formula
+from .conftest import (
+    SEED1,
+    degree_bound,
+    load_proof_text,
+    node_count,
+    occurrences,
+    random_formula,
+)
 
 RING = SymbolicRing()
 

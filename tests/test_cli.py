@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyproof import cli
+from polyproof import cli, logic, protocol
 from polyproof.cli import main
 from polyproof.encmat import SymbolicRing, product_of
 from polyproof.ffield import MERSENNE61, ZeroInverse
 from polyproof.logic import ParseError, parse_proof
 from polyproof.mpoly import NotDivisible
 
-from .conftest import PROOF_DIR, atom_swap_text, load_proof_text
+from .conftest import PROOF_DIR, atom_swap_text, benchmark_cases, load_proof_text
 
 IMP_REFL = str(PROOF_DIR / "imp_refl.proof")
 SEED_HEX = "01" * 32
@@ -407,6 +407,63 @@ def test_main_calls_in_one_process_keep_their_own_results(capsys):
     assert first[3] == (2, "", "error: field mode needs --seed, --assign or --fiat-shamir\n")
     assert first[4] == (0, "symbolic verdict=accept\n", "")
     assert [run(capsys, *argv) for argv, _ in reversed(calls)] == first[::-1]
+
+
+def test_substitution_free_field_run_builds_no_formula(capsys, monkeypatch, tmp_path):
+    chain = tmp_path / "chain6.proof"  # six 5-step proofs of (xi -> xi), no substitution
+    chain.write_text(benchmark_cases().chain_text(6))
+    runs = [(IMP_REFL, "3"), (str(PROOF_DIR / "contrapose_fn.proof"), "1"), (str(chain), "28")]
+    argvs = [["verify", path, "--mode", "field", "--seed", "0b", *tamper]
+             for path, step in runs for tamper in ([], ["--tamper-step", step])]
+    before = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field run without substitution built a formula")
+
+    for owner, name in ((protocol, "step_formulas"), (protocol, "instantiate_axiom"),
+                        (logic, "instantiate_axiom"), (logic, "_substitute")):
+        monkeypatch.setattr(owner, name, refuse)
+    after = [run(capsys, *argv) for argv in argvs]
+    assert after == before
+    assert [code for code, _, _ in after] == [0, 1] * 3
+    assert "d-bound 5\n" in after[0][1]
+
+
+def test_substituting_field_run_still_replays(capsys, monkeypatch):
+    replays = []
+    step_formulas = protocol.step_formulas
+
+    def counted(script, **kwargs):
+        replays.append(script.name)
+        return step_formulas(script, **kwargs)
+
+    monkeypatch.setattr(protocol, "step_formulas", counted)
+    code, out, _ = run(capsys, "verify", str(PROOF_DIR / "subst_demo.proof"),
+                       "--mode", "field", "--seed", "01")
+    assert (code, replays) == (0, ["subst_demo"])
+    assert "d-bound 5\n" in out
+
+
+def test_prime_cache_never_serves_a_wrong_verdict(capsys):
+    field = ["verify", IMP_REFL, "--mode", "field", "--seed", "01", "--prime"]
+    code, out, _ = run(capsys, *field, "101")
+    assert code == 0 and "prime 101\n" in out
+    assert run(capsys, *field, "100") == (2, "", "error: modulus 100 is not prime\n")
+    assert run(capsys, *field, "101") == (code, out, "")
+    composite = str(2**61 + 1)  # 3 * 768614336404564651
+    code, out, err = run(capsys, "keygen", IMP_REFL, "--seed", "ab", "--prime", composite)
+    assert (code, out, err) == (2, "", f"error: modulus {composite} is not prime\n")
+
+
+def test_encode_declares_function_symbols_at_their_first_use(capsys):
+    for flags in ([], ["--seed", "01"]):
+        code, out, err = run(capsys, "encode", "f(x, !y)", *flags)
+        assert (code, err) == (0, "")
+        assert out.startswith("formula f(x, !y)\n")
+    code, out, _ = run(capsys, "encode", "f(x, !y)", "--symbolic")
+    assert "encoding A(F) + A(F1)A(X) + A(F2)A(N) + A(F2)A(N1)A(Y)" in out
+    assert run(capsys, "encode", "f(x, f(y))") == (
+        2, "", "error: 'f' takes 2 arguments, got 1 (at position 5)\n")
 
 
 def dbl_text(k: int) -> str:

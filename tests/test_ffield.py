@@ -20,6 +20,12 @@ def test_default_modulus_is_prime():
     PrimeField(MERSENNE61)
 
 
+def test_is_prime_agrees_with_trial_division():
+    # Down again after up, so the second pass reads the values still cached.
+    for n in [*range(2000), *reversed(range(2000))]:
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+
+
 @pytest.mark.parametrize("bad", [0, 1, 2, 4, 100, 2**61, 2**63, 2**63 + 11])
 def test_rejects_non_admissible_moduli(bad):
     with pytest.raises(ValueError):

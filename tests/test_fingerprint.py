@@ -20,7 +20,6 @@ from polyproof.fingerprint import (
     UnallocatedSymbol,
     VarAllocation,
     axiom_fingerprint_via_template,
-    degree_bound,
     encode,
     encode_fingerprint,
     hom_mp,
@@ -39,7 +38,7 @@ from polyproof.logic import (
 )
 from polyproof.mpoly import MissingAssignment
 
-from .conftest import node_count, occurrences
+from .conftest import degree_bound, node_count, occurrences
 
 RING = SymbolicRing()
 

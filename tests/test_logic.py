@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import time
 from dataclasses import replace
 
@@ -224,6 +225,30 @@ def test_instantiate_n():
     x = atom("x")
     got = instantiate_axiom(AXIOM_SCHEMES["N"], {"alpha": x, "beta": x})
     assert got == parse_formula("((!x -> !x) -> (x -> x))")
+
+
+@given(st.sampled_from(sorted(AXIOM_SCHEMES)), st.lists(fn_formulas, min_size=3, max_size=3))
+def test_instance_depth_is_the_depth_of_the_instance(name, bound):
+    scheme = AXIOM_SCHEMES[name]
+    binding = dict(zip(scheme.metavars, bound))
+    assert scheme.instance_depth(binding) == instantiate_axiom(scheme, binding).depth
+
+
+def test_signature_declaring_functions_takes_the_arity_of_the_first_use():
+    sig = Signature(declares_functions=True)
+    f = parse_formula("f(g(x), f(!y, (x -> z)))", sig)
+    assert str(f) == "f(g(x), f(!y, (x -> z)))"
+    assert sig.symbols() == [("f", 2), ("g", 1), ("x", 0), ("y", 0), ("z", 0)]
+    for text, message, pos in (
+        ("f(x, f(y))", "'f' takes 2 arguments, got 1", 5),  # the first use, read left to right
+        ("(x -> x(y))", "'x' takes 0 arguments, got 1", 6),
+        ("(f(x) -> f)", "'f' has arity 1 and needs arguments", 9),
+    ):
+        with pytest.raises(ArityMismatch, match=re.escape(message)) as exc:
+            parse_formula(text, Signature(declares_functions=True))
+        assert exc.value.pos == pos
+    with pytest.raises(ParseError, match="reserved"):
+        parse_formula("alpha(x)", Signature(declares_functions=True))
 
 
 def test_instantiate_missing_binding():

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,14 +11,19 @@ from polyproof.encmat import EncMatrix, SymbolicRing, zero_matrix
 from polyproof.ffield import MERSENNE61, PrimeField
 from polyproof.fingerprint import VarAllocation, encode
 from polyproof.logic import (
+    AXIOM_SCHEMES,
+    AxiomStep,
     GoalMismatch,
     MissingBinding,
     MPShapeMismatch,
     MPStep,
+    SubstStep,
     atom,
+    instantiate_axiom,
     neg,
     parse_proof,
     run_classical,
+    step_formulas,
 )
 from polyproof.mpoly import NotDivisible
 from polyproof.protocol import (
@@ -31,7 +37,15 @@ from polyproof.protocol import (
     verify_symbolic,
 )
 
-from .conftest import SEED0, SEED1, atom_swap_text, load_proof_text
+from .conftest import (
+    PROOF_DIR,
+    SEED0,
+    SEED1,
+    atom_swap_text,
+    benchmark_cases,
+    degree_bound,
+    load_proof_text,
+)
 
 M61 = PrimeField(MERSENNE61)
 FIXTURES = ("imp_refl", "subst_demo", "subst_step", "contrapose_fn")
@@ -62,6 +76,43 @@ def test_accepts_fixture_all_modes():
 def test_degree_bound_of_fixture():
     # deepest formula is the instantiated S axiom: 5 nodes on its longest path
     assert proof_degree_bound(fixture("imp_refl")) == 5
+
+
+def replayed_degree_bound(script):
+    """The reference bound: the goal, the literal replacements, every formula
+    the syntactic replay derives before its first broken step, and the axioms
+    after that step, instantiated."""
+    derived = step_formulas(script, partial=True)
+    literal = [script.goal]
+    for n, step in enumerate(script.steps):
+        if isinstance(step, AxiomStep) and n >= len(derived):
+            literal.append(instantiate_axiom(AXIOM_SCHEMES[step.scheme], step.binding))
+        elif isinstance(step, SubstStep) and step.replacement is not None:
+            literal.append(step.replacement)
+    return degree_bound(*literal, *derived)
+
+
+def benchmark_scripts():
+    """Every case of the benchmark's workloads at seeds 1 and 2, parsed."""
+    cases = benchmark_cases()
+    manifest = json.loads((PROOF_DIR.parent / "perfbench" / "manifest.json").read_text("utf-8"))
+    for workload, workload_spec in sorted(manifest["workloads"].items()):
+        for seed in (1, 2):
+            for case in cases.build(workload, workload_spec, seed, PROOF_DIR.parent):
+                try:
+                    yield parse_proof(case.text)
+                except RecursionError:  # deep1200: the recursive parser's known limit
+                    continue
+
+
+def test_degree_bound_equals_the_replayed_reference():
+    scripts = list(benchmark_scripts())
+    assert len(scripts) > 250
+    for name in FIXTURES:
+        script = fixture(name)
+        scripts += [script] + [_tamper(script, k) for k in range(1, len(script.steps) + 1)]
+    for script in scripts:
+        assert proof_degree_bound(script) == replayed_degree_bound(script), script.name
 
 
 def test_tracked_atoms():
