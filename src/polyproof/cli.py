@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from dataclasses import replace
 from itertools import groupby
@@ -203,6 +202,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    import json  # only factor reads JSON; json.JSONDecodeError is a ValueError
+
     if args.matrix == "-":
         data = json.load(sys.stdin)
     else:
@@ -303,7 +304,6 @@ def main(argv=None) -> int:
         StrictCheckError,
         ValueError,
         OSError,
-        json.JSONDecodeError,
         RecursionError,
         ArithmeticError,  # NotDivisible, ZeroInverse
         MemoryError,

@@ -2,9 +2,12 @@
 
 Only the entries (1,1), (1,2) and (2,2) are stored, as ``a``, ``b`` and
 ``d``; the (2,1) entry is zero by construction and cannot be falsified.
-The same matrix type serves two rings: exact polynomials (``SymbolicRing``)
-and ints in [0, p) under a fixed variable assignment (``FieldRing``).  Matrix
-``+``, ``-`` and ``*`` do not reduce mod p; the ring's ``reduce`` does.
+Entries are exact polynomials (``SymbolicRing``) or ints in [0, p), the
+values at one point (``FieldRing``).  The symbolic fingerprints are
+computed with the matrix operations here; the field fingerprints are
+computed by ``fingerprint``'s int kernel, which reads its values, and
+caches what a run reuses, from ``FieldRing``.  Matrix ``+``, ``-`` and
+``*`` do not reduce mod p; the ring's ``reduce`` does.
 
 The elementary matrix of a variable v is A(v) = [[x_v, 1], [0, 1]].
 Products of elementary matrices embed sequences of variables faithfully:
@@ -79,13 +82,17 @@ class SymbolicRing:
 
 
 class FieldRing:
-    """Coefficients are ints in [0, p) under a fixed variable assignment; the
-    inverse of each divisor is computed once per ring, so once per run."""
+    """Coefficients are ints in [0, p) under a fixed variable assignment.  One
+    ring serves one run, so what the run reuses is computed once and kept
+    here: the inverse of each divisor, and for the fingerprint kernel the
+    values every mp step reads and the empty helper map."""
 
     def __init__(self, field: PrimeField, values: Mapping[VarId, FieldElem]):
         self.p = field.p
         self.values = {v: e.value for v, e in values.items()}
         self._inverse = {}
+        self.mp_values = None  # (x_I, x_I1, 1 / x_I2), set by the run's first mp step
+        self.no_helpers = None  # the empty fingerprint.Helpers, set by its first fingerprint
 
     def var(self, v: VarId) -> int:
         try:
@@ -101,11 +108,6 @@ class FieldRing:
 
     def reduce(self, x):  # an entry or a matrix, into [0, p)
         return x % self.p
-
-    def lincomb(self, groups) -> int:  # the sum of c * (sum of es) over (c, es), reduced once
-        return sum(c * sum(es) for c, es in groups) % self.p
-
-    const, dot = reduce, lincomb  # elements are ints: const reduces n, and dot's x acts as a c
 
     def div_by_var(self, x: int, v: VarId) -> int:
         if v not in self._inverse:

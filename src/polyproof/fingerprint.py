@@ -28,6 +28,15 @@ reads only the helper of x, so a field replay tracks exactly the variables
 that some subst step replaces, and no helper at all for a proof without
 substitution.  The exact symbolic replay tracks every atom: in the
 polynomial ring each helper's division in hom_mp is also a check on the step.
+
+``encode_fingerprint``, ``hom_mp`` and ``hom_subst`` take one of two paths,
+chosen once per call by the ring.  Over exact polynomials
+(``encmat.SymbolicRing``) the walk groups the path products and closes each
+entry with one ring call, and mp and subst are matrix products and exact
+divisions; this is the reference.  Over the field (``encmat.FieldRing``) an
+int kernel, at the end of this module, does the same arithmetic mod p with
+running sums and no intermediate matrix, and reads x_I, x_I1 and 1 / x_I2
+once per run.
 """
 
 from __future__ import annotations
@@ -36,9 +45,9 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .encmat import EncMatrix, elem, elem_inv_mul, zero_matrix
+from .encmat import EncMatrix, FieldRing, elem, elem_inv_mul, zero_matrix
 from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
-from .mpoly import VarId
+from .mpoly import MissingAssignment, VarId
 
 
 class UnallocatedSymbol(Exception):
@@ -144,6 +153,8 @@ def encode_fingerprint(
     each edge's just before its child, so a ring missing several values
     names the first one the recursive definition reaches.  A leaf named in
     ``binding`` is walked as the formula bound to it, as if substituted."""
+    if isinstance(ring, FieldRing):
+        return _field_encode(f, alloc, ring, tracked, binding)
     tracked, binding = set(tracked), binding or {}
     slots, var, reduce = alloc.slots, ring.var, ring.reduce
     vertex: Dict[VarId, tuple] = {}  # vertex variable: (value, [P(u) per node u])
@@ -193,6 +204,8 @@ def hom_mp(fp_hyp: Fingerprint, fp_imp: Fingerprint, alloc: VarAllocation, ring)
     No structural check is made; a bad step either fails exact division
     (symbolic ring) or surfaces at the final comparison (field ring).
     """
+    if isinstance(ring, FieldRing):
+        return _field_mp(fp_hyp, fp_imp, alloc, ring)
     vertex = elem(alloc.vid(IMPLIES, 0), ring)
     left_edge = elem(alloc.vid(IMPLIES, 1), ring)
     right_var = alloc.vid(IMPLIES, 2)
@@ -213,6 +226,8 @@ def hom_subst(
     subtracting helper * A(X_var) removes those leaves and adding
     helper * [repl] grafts the replacement onto every one of them.
     """
+    if isinstance(ring, FieldRing):
+        return _field_subst(fp_src, var, fp_repl, alloc, ring)
     leaf = elem(alloc.vid(var, 0), ring)
     hv = fp_src.helpers[var]
     main = ring.reduce(fp_src.main - hv * leaf + hv * fp_repl.main)
@@ -220,6 +235,102 @@ def hom_subst(
     for x in fp_src.helpers.keys() | fp_repl.helpers.keys():
         graft = hv * fp_repl.helpers[x]
         helpers[x] = ring.reduce(graft if x == var else fp_src.helpers[x] + graft)
+    return Fingerprint(main, Helpers(ring, helpers.items()))
+
+
+# -- the field kernel ---------------------------------------------------------
+
+
+def _field_encode(f, alloc, ring, tracked, binding) -> Fingerprint:
+    """encode_fingerprint over the field: running sums of ints, each path
+    product reduced mod p as the walk enters its node.  Every term is known
+    on entry, as b = sum_u S(u) with S(u) = P(root) + ... + P(u), the path
+    sum, and a tracked leaf l adds S(parent of l) to its helper's b."""
+    slots, values, p = alloc.slots, ring.values, ring.p
+    binding, tracked = binding or {}, set(tracked) if tracked else ()
+    a = b = nodes = 0
+    sums = {}  # tracked atom t: [sum of P(l), sum of S(parent of l), #leaves] over its leaves l
+    stack = [(f, 1, 0, None)]  # node, P(parent), S(parent), edge variable into node
+    pop, push = stack.pop, stack.append
+    try:
+        while stack:
+            node, pu, s, edge = pop()
+            if edge is not None:
+                pu = pu * values[edge] % p
+            root, kids = node.root, node.children
+            if not kids and root in binding:
+                node = binding[root]
+                root, kids = node.root, node.children
+            ids = slots.get(root) or alloc.vid(root)  # vid raises UnallocatedSymbol
+            a += pu * values[ids[0]]
+            nodes += 1
+            if kids:
+                s += pu
+                b += s
+                if len(kids) == 2:  # an implication, the common case, unrolled
+                    push((kids[1], pu, s, ids[2]))
+                    push((kids[0], pu, s, ids[1]))
+                else:
+                    for slot in range(len(kids), 0, -1):
+                        push((kids[slot - 1], pu, s, ids[slot]))
+                continue
+            b += s + pu
+            if root in tracked:
+                acc = sums.setdefault(root, [0, 0, 0])
+                acc[0], acc[1], acc[2] = acc[0] + pu, acc[1] + s, acc[2] + 1
+    except KeyError as exc:
+        raise MissingAssignment(exc.args[0]) from None
+    main = EncMatrix(a % p, b % p, nodes % p)
+    if sums:
+        return Fingerprint(main, Helpers(ring, (
+            (t, EncMatrix(ta % p, tb % p, td % p)) for t, (ta, tb, td) in sums.items())))
+    if ring.no_helpers is None:  # one empty Helpers per run, for every fingerprint without one
+        ring.no_helpers = Helpers(ring, ())
+    return Fingerprint(main, ring.no_helpers)
+
+
+def _field_mp(fp_hyp, fp_imp, alloc, ring) -> Fingerprint:
+    """hom_mp over the field, written out on the entries: with h the
+    hypothesis' matrix and m the implication's, the conclusion's is
+    ((m.a - x_I - x_I1 h.a) / x_I2, (m.b - m.d - x_I1 h.b) / x_I2, m.d - 1 - h.d),
+    and a helper's the same without the vertex's x_I and 1."""
+    if ring.mp_values is None:  # the run's first mp step reads them, in the matrix form's order
+        vertex, left, right = alloc.slots[IMPLIES]
+        ring.mp_values = (ring.var(vertex), ring.var(left), ring.div_by_var(1, right))
+    x_vertex, x_left, inverse = ring.mp_values
+    p, h, m = ring.p, fp_hyp.main, fp_imp.main
+    main = EncMatrix((m.a - x_vertex - x_left * h.a) * inverse % p,
+                     (m.b - m.d - x_left * h.b) * inverse % p,
+                     (m.d - 1 - h.d) % p)
+    hyp_helpers, imp_helpers = fp_hyp.helpers, fp_imp.helpers
+    if not (hyp_helpers or imp_helpers):
+        return Fingerprint(main, imp_helpers)
+    helpers = []
+    for x in imp_helpers.keys() | hyp_helpers.keys():
+        h, m = hyp_helpers[x], imp_helpers[x]
+        helpers.append((x, EncMatrix((m.a - x_left * h.a) * inverse % p,
+                                     (m.b - m.d - x_left * h.b) * inverse % p,
+                                     (m.d - h.d) % p)))
+    return Fingerprint(main, Helpers(ring, helpers))
+
+
+def _field_subst(fp_src, var, fp_repl, alloc, ring) -> Fingerprint:
+    """hom_subst over the field, written out on the entries: with h the
+    helper of var, s the source and r the replacement, the result is
+    s + (h.a (r.a - x_var), h.a (r.b - 1) + h.b (r.d - 1), h.d (r.d - 1)),
+    and each helper t becomes s_t + h r_t, or h r_var for t = var."""
+    x_var = ring.var(alloc.vid(var, 0))
+    if var not in fp_src.helpers:
+        return fp_src
+    p, h, s, r = ring.p, fp_src.helpers[var], fp_src.main, fp_repl.main
+    main = EncMatrix((s.a + h.a * (r.a - x_var)) % p,
+                     (s.b + h.a * (r.b - 1) + h.b * (r.d - 1)) % p,
+                     (s.d + h.d * (r.d - 1)) % p)
+    helpers = {x: m for x, m in fp_src.helpers.items() if x != var}
+    for x, r in fp_repl.helpers.items():
+        s = helpers.get(x) or zero_matrix(ring)
+        helpers[x] = EncMatrix((s.a + h.a * r.a) % p, (s.b + h.a * r.b + h.b * r.d) % p,
+                               (s.d + h.d * r.d) % p)
     return Fingerprint(main, Helpers(ring, helpers.items()))
 
 

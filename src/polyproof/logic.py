@@ -24,8 +24,11 @@ Proof scripts are line oriented (``#`` starts a comment):
     <n> subst <i> <var> step <j>
     qed <n>
 
-A formula in a step (a binding or a ``with`` replacement) may sit inside
-one layer of grouping parentheses: ``alpha = (x)`` reads as ``alpha = x``.
+A declared arity may not exceed the script's length in characters: no call
+in the script can take more arguments, and every declared slot costs a
+variable and a sampled value.  A formula in a step (a binding or a ``with``
+replacement) may sit inside one layer of grouping parentheses: ``alpha = (x)``
+reads as ``alpha = x``.
 Steps are numbered consecutively from 1, in ASCII digits, and may only
 reference earlier steps.  Every ``ParseError`` from ``parse_proof`` names
 its line.  ``run_classical`` executes a script purely syntactically and is
@@ -462,6 +465,9 @@ def parse_proof(text: str) -> ProofScript:
             m = _SYMBOL.fullmatch(ln)
             if not m:
                 raise ParseError("malformed symbol declaration")
+            if int(m.group(2)) > len(text):  # no call in the script can take that many arguments
+                raise ParseError(f"arity {m.group(2)} of {m.group(1)!r} exceeds the script's "
+                                 f"length of {len(text)} characters")
             sig.declare(m.group(1), int(m.group(2)))
             i += 1
         n, ln = lines[i]

@@ -21,13 +21,22 @@ def load_proof_text(name: str) -> str:
     return (PROOF_DIR / f"{name}.proof").read_text()
 
 
+def _benchmark_module(stem: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{stem}", PROOF_DIR.parent / "perfbench" / f"{stem}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 def benchmark_cases():
     """The benchmark's proof-script generators, ``perfbench/cases.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_cases", PROOF_DIR.parent / "perfbench" / "cases.py")
-    cases = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
-    spec.loader.exec_module(cases)
-    return cases
+    return _benchmark_module("cases")
+
+
+def benchmark_layers():
+    """The benchmark's layer trace, ``perfbench/layers.py``."""
+    return _benchmark_module("layers")
 
 
 def degree_bound(*formulas: Formula) -> int:

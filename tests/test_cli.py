@@ -409,6 +409,18 @@ def test_main_calls_in_one_process_keep_their_own_results(capsys):
     assert [run(capsys, *argv) for argv, _ in reversed(calls)] == first[::-1]
 
 
+def test_huge_declared_arity_exits_2_before_allocating(capsys, monkeypatch, tmp_path):
+    # A 100-byte script declaring a million-slot symbol used to allocate and
+    # sample every slot: seconds and hundreds of MB for nothing.
+    path = tmp_path / "arity.proof"
+    path.write_text('proof "a"\nsymbol f arity 1000000\ngoal (x -> x)\n'
+                    "1 axiom K { alpha = x, beta = x }\nqed 1\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "VarAllocation", None)  # reached only past the parser
+    code, out, err = run(capsys, "verify", str(path), "--seed", "01", "--mode", "field")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: arity 1000000 of 'f' exceeds") and err.endswith("(line 2)\n")
+
+
 def test_substitution_free_field_run_builds_no_formula(capsys, monkeypatch, tmp_path):
     chain = tmp_path / "chain6.proof"  # six 5-step proofs of (xi -> xi), no substitution
     chain.write_text(benchmark_cases().chain_text(6))

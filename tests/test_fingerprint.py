@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from polyproof.logic import (
     parse_formula,
     subst_syntactic,
 )
-from polyproof.mpoly import MissingAssignment
+from polyproof.mpoly import MissingAssignment, NotDivisible
 
 from .conftest import degree_bound, node_count, occurrences
 
@@ -307,22 +308,40 @@ def test_template_walk_names_the_missing_value_the_instance_names(name):
     binding = dict(zip(scheme.metavars, (
         imp(atom("x"), Formula("g", (neg(atom("y")),))), neg(atom("z")), imp(atom("y"), atom("x"))
     )))
-    _, alloc = make_alloc(extra=(("g", 1),))
+    # The field mp and subst read the values the matrix products read, in
+    # the same order, so they name the variable the products name, also when
+    # substituting w, which the instance lacks.
+    _, alloc = make_alloc(extra=(("g", 1), ("w", 0)))
     instance = instantiate_axiom(scheme, binding)
     field, rng = PrimeField(101), random.Random(name)
-    missing = 0
+
+    def outcome(fn, *args):
+        try:
+            result = fn(*args)
+        except MissingAssignment as exc:
+            return "missing", exc.var
+        return (result.main, dict(result.helpers)) if hasattr(result, "main") else result
+
+    missing, tracked = Counter(), ("x", "y", "z")
     for _ in range(200):
-        ring = FieldRing(field, {v: field.elem(rng.randrange(2, 101))
-                                 for v in range(alloc.size) if rng.random() < 0.8})
-        outcomes = []
-        for f, b in ((scheme.template, binding), (instance, None)):
-            try:
-                outcomes.append(encode_fingerprint(f, alloc, ring, ("x", "y", "z"), b))
-            except MissingAssignment as exc:
-                outcomes.append(("missing", exc.var))
-        assert outcomes[0] == outcomes[1]
-        missing += isinstance(outcomes[0], tuple)
-    assert 0 < missing < 200
+        values = {v: field.elem(rng.randrange(2, 101)) for v in range(alloc.size)}
+        full = FieldRing(field, values)
+        ring = FieldRing(field, {v: e for v, e in values.items() if rng.random() < 0.8})
+        walks = [outcome(encode_fingerprint, f, alloc, ring, tracked, b)
+                 for f, b in ((scheme.template, binding), (instance, None))]
+        assert walks[0] == walks[1]
+        hyp, impl, repl = (encode_fingerprint(f, alloc, full, tracked)
+                           for f in (instance.children[0], instance, binding["beta"]))
+        var = rng.choice(("x", "y", "z", "w"))
+        steps = [(outcome(hom_mp, hyp, impl, alloc, ring),
+                  outcome(reference_hom_mp, hyp, impl, alloc, ring)),
+                 (outcome(hom_subst, impl, var, repl, alloc, ring),
+                  outcome(reference_hom_subst, impl, var, repl, alloc, ring))]
+        for kernel, reference in steps:
+            assert kernel == reference
+        for kind, got in zip(("walk", "mp", "subst"), (walks[0], *(k for k, _ in steps))):
+            missing[kind] += got[0] == "missing"
+    assert all(0 < missing[kind] < 200 for kind in ("walk", "mp", "subst")), missing
 
 
 def test_degree_bound_examples():
@@ -458,6 +477,34 @@ def reference_encode_fingerprint(f, alloc, ring, tracked):
     return rec(f)
 
 
+def _nonzero(helpers, ring):
+    return {x: m for x, m in helpers.items() if m != zero_matrix(ring)}
+
+
+def reference_hom_mp(fp_hyp, fp_imp, alloc, ring):
+    """hom_mp as matrix products over either ring: (main, nonzero helpers)."""
+    vertex = elem(alloc.vid("->", 0), ring)
+    left_edge = elem(alloc.vid("->", 1), ring)
+    right_var = alloc.vid("->", 2)
+    main = elem_inv_mul(right_var, fp_imp.main - vertex - left_edge * fp_hyp.main, ring)
+    return main, _nonzero({
+        x: elem_inv_mul(right_var, fp_imp.helpers[x] - left_edge * fp_hyp.helpers[x], ring)
+        for x in fp_imp.helpers.keys() | fp_hyp.helpers.keys()
+    }, ring)
+
+
+def reference_hom_subst(fp_src, var, fp_repl, alloc, ring):
+    """hom_subst as matrix products over either ring: (main, nonzero helpers)."""
+    leaf = elem(alloc.vid(var, 0), ring)
+    hv = fp_src.helpers[var]
+    main = ring.reduce(fp_src.main - hv * leaf + hv * fp_repl.main)
+    helpers = {}
+    for x in fp_src.helpers.keys() | fp_repl.helpers.keys():
+        graft = hv * fp_repl.helpers[x]
+        helpers[x] = ring.reduce(graft if x == var else fp_src.helpers[x] + graft)
+    return main, _nonzero(helpers, ring)
+
+
 # Function symbols g/1 and h/3, metavariable leaves, and the atom w,
 # declared but never drawn, so a tracked w is absent from every formula.
 fn_formulas = st.recursive(
@@ -510,3 +557,84 @@ def test_encoding_depth_costs_no_stack():
     nat = encode_fingerprint(deep, alloc, fring, ("x", "y"))
     assert nat.main.d == 5001 and nat.helpers["x"].d == 1
     assert sym.helpers["y"] == zero_matrix(RING) and nat.helpers["y"] == zero_matrix(fring)
+
+
+# -- the field kernel against the symbolic closed form ---------------------------
+
+FIELD_PRIMES = (3, 5, 101, (1 << 61) - 1)
+ATOMS = ("x", "y", "z", "w", "alpha", "beta")
+
+
+def at_point(fp, values, field):
+    """A symbolic fingerprint evaluated at a point: (main, the helpers that do not
+    vanish there)."""
+    def ev(m):
+        return EncMatrix(*(e.eval(values, field).value for e in (m.a, m.b, m.d)))
+
+    at = {x: ev(m) for x, m in fp.helpers.items()}
+    return ev(fp.main), {x: m for x, m in at.items() if m != EncMatrix(0, 0, 0)}
+
+
+@settings(max_examples=120)
+@given(
+    fn_formulas, fn_formulas, fn_formulas,
+    st.lists(binding_formulas, min_size=3, max_size=3),
+    st.sampled_from(sorted(AXIOM_SCHEMES)),
+    st.sets(st.sampled_from(ATOMS)),
+    st.sampled_from(ATOMS),
+    st.sampled_from(FIELD_PRIMES),
+    st.integers(0, 10**9),
+)
+def test_field_kernel_is_the_symbolic_closed_form_at_the_point(
+        f, g, h, bound, scheme_name, tracked, var, prime, salt):
+    # encode_fingerprint (with and without axiom bindings), hom_mp and hom_subst
+    # over the field equal the symbolic results evaluated at the point, wherever
+    # the symbolic divisions are exact.  At p = 3 and 5 whole helpers vanish
+    # mod p and must be dropped, as the symbolic ones evaluated to zero are.
+    _, alloc = make_alloc(extra=(("w", 0), ("g", 1), ("h", 3)))
+    rng, field = random.Random(salt), PrimeField(prime)
+    values = {v: field.elem(rng.randrange(2, prime)) for v in range(alloc.size)}
+    ring = FieldRing(field, values)
+
+    def both(fn, *args):
+        """fn over the field and fn's symbolic result at the point; None if a division fails."""
+        try:
+            sym = fn(*(RING if a is ring else a for a in args))
+        except NotDivisible:
+            return None
+        got = fn(*args)
+        return (got.main, dict(got.helpers)), at_point(sym, values, field)
+
+    def fp(formula, r):
+        return encode_fingerprint(formula, alloc, r, tracked)
+
+    scheme = AXIOM_SCHEMES[scheme_name]
+    binding = dict(zip(scheme.metavars, bound))
+    pairs = [both(encode_fingerprint, x, alloc, ring, tracked) for x in (f, imp(f, g))]
+    pairs.append(both(encode_fingerprint, scheme.template, alloc, ring, tracked, binding))
+    for antecedent in (f, h):  # a valid step, and one whose division may fail
+        implication = imp(antecedent, g)
+        pairs.append(both(lambda r: hom_mp(fp(f, r), fp(implication, r), alloc, r), ring))
+    pairs.append(both(lambda r: hom_subst(fp(f, r), var, fp(g, r), alloc, r), ring))
+    assert None not in pairs[:4] + pairs[5:]  # only a wrong mp may fail to divide
+    for pair in filter(None, pairs):
+        assert pair[0] == pair[1]
+
+
+def test_field_kernel_on_a_5000_deep_negation_chain():
+    # The walk, mp and subst use no recursion, so depth costs no stack.
+    _, alloc = make_alloc()
+    deep = atom("x")
+    for _ in range(5000):
+        deep = neg(deep)
+    field = PrimeField((1 << 61) - 1)
+    ring = FieldRing(field, {v: field.elem(v + 2) for v in range(alloc.size)})
+
+    def fp(formula):
+        return encode_fingerprint(formula, alloc, ring, ("x", "y"))
+
+    assert hom_mp(fp(deep), fp(imp(deep, deep)), alloc, ring) == fp(deep)
+    sig, _ = make_alloc()
+    grafted = subst_syntactic(deep, "x", imp(atom("x"), atom("y")), sig)
+    assert hom_subst(fp(deep), "x", fp(imp(atom("x"), atom("y"))), alloc, ring) == fp(grafted)
+    assert fp(grafted).main.d == 5003 and fp(grafted).helpers["y"].d == 1

@@ -488,3 +488,18 @@ def test_formula_text_matches_recursive_reference(f, limit):
     text = _recursive_text(f)
     assert str(f) == formula_text(f, None) == text
     assert formula_text(f, limit) == (text if len(text) <= limit else text[:limit] + "...")
+
+
+def test_declared_arity_is_bounded_by_the_script_length():
+    # Every declared slot costs a variable and a sampled value, and no call in
+    # the script can take more arguments than it has characters.
+    def script(arity):
+        return (f'proof "p"\nsymbol f arity {arity}\ngoal (x -> x)\n'
+                "1 axiom K { alpha = x, beta = x }\nqed 1\n")
+
+    size = len(script(10))  # the same for every two-digit arity
+    assert size < 100 and parse_proof(script(size)).signature.arity("f") == size
+    for arity in (size + 1, 1000000, 10**9):
+        with pytest.raises(ParseError, match=rf"^arity {arity} of 'f' exceeds the script's "
+                                             rf"length of \d+ characters \(line 2\)$"):
+            parse_proof(script(arity))
