@@ -3,11 +3,10 @@
 Only the entries (1,1), (1,2) and (2,2) are stored, as ``a``, ``b`` and
 ``d``; the (2,1) entry is zero by construction and cannot be falsified.
 Entries are exact polynomials (``SymbolicRing``) or ints in [0, p), the
-values at one point (``FieldRing``).  The symbolic fingerprints are
-computed with the matrix operations here; the field fingerprints are
-computed by ``fingerprint``'s int kernel, which reads its values, and
-caches what a run reuses, from ``FieldRing``.  Matrix ``+``, ``-`` and
-``*`` do not reduce mod p; the ring's ``reduce`` does.
+values at one point (``FieldRing``).  For ``fingerprint``'s mp and subst
+each ring builds a result matrix in one call: ``matrix(a, b, d)`` reduces
+the entries, and ``peel(v, a, b, d)`` divides ``a`` and ``b`` by x_v.
+Matrix ``+``, ``-`` and ``*`` do not reduce mod p; the ring's ``reduce`` does.
 
 The elementary matrix of a variable v is A(v) = [[x_v, 1], [0, 1]].
 Products of elementary matrices embed sequences of variables faithfully:
@@ -49,9 +48,6 @@ class EncMatrix:
             self.d * other.d,
         )
 
-    def __mod__(self, p: int) -> "EncMatrix":
-        return EncMatrix(self.a % p, self.b % p, self.d % p)
-
     def __str__(self):
         return f"[{self.a}, {self.b}, {self.d}]"
 
@@ -68,30 +64,27 @@ class SymbolicRing:
     def one(self) -> MPoly:
         return MPoly.one()
 
-    lincomb = staticmethod(MPoly.lincomb)
-    const = staticmethod(MPoly.const)
+    def reduce(self, m: EncMatrix) -> EncMatrix:  # exact, so nothing to reduce
+        return m
 
-    def dot(self, groups) -> MPoly:  # the sum of x * (sum of es) over (polynomial x, es)
-        return MPoly.lincomb([(1, [x * MPoly.lincomb([(1, es)]) for x, es in groups])])
+    def matrix(self, a: MPoly, b: MPoly, d: MPoly) -> EncMatrix:
+        return EncMatrix(a, b, d)
 
-    def reduce(self, x):  # an entry or a matrix; exact, so nothing to reduce
-        return x
-
-    def div_by_var(self, x: MPoly, v: VarId) -> MPoly:
-        return x.div_exact_by_var(v)
+    def peel(self, v: VarId, a: MPoly, b: MPoly, d: MPoly) -> EncMatrix:
+        """(a / x_v, b / x_v, d), each division exact or raising NotDivisible."""
+        return EncMatrix(a.div_exact_by_var(v), b.div_exact_by_var(v), d)
 
 
 class FieldRing:
     """Coefficients are ints in [0, p) under a fixed variable assignment.  One
     ring serves one run, so what the run reuses is computed once and kept
-    here: the inverse of each divisor, and for the fingerprint kernel the
-    values every mp step reads and the empty helper map."""
+    here: the inverse of each divisor, and the empty helper map of
+    ``fingerprint``'s field walk."""
 
     def __init__(self, field: PrimeField, values: Mapping[VarId, FieldElem]):
         self.p = field.p
         self.values = {v: e.value for v, e in values.items()}
         self._inverse = {}
-        self.mp_values = None  # (x_I, x_I1, 1 / x_I2), set by the run's first mp step
         self.no_helpers = None  # the empty fingerprint.Helpers, set by its first fingerprint
 
     def var(self, v: VarId) -> int:
@@ -106,15 +99,21 @@ class FieldRing:
     def one(self) -> int:
         return 1
 
-    def reduce(self, x):  # an entry or a matrix, into [0, p)
-        return x % self.p
+    def reduce(self, m: EncMatrix) -> EncMatrix:
+        return self.matrix(m.a, m.b, m.d)
 
-    def div_by_var(self, x: int, v: VarId) -> int:
-        if v not in self._inverse:
+    def matrix(self, a: int, b: int, d: int) -> EncMatrix:
+        return EncMatrix(a % self.p, b % self.p, d % self.p)
+
+    def peel(self, v: VarId, a: int, b: int, d: int) -> EncMatrix:
+        """(a / x_v, b / x_v, d) mod p, through the run's one inverse of x_v."""
+        inverse = self._inverse.get(v)
+        if inverse is None:
             if not self.var(v):
                 raise ZeroInverse("0 has no multiplicative inverse")
-            self._inverse[v] = pow(self.var(v), -1, self.p)
-        return x * self._inverse[v] % self.p
+            inverse = self._inverse[v] = pow(self.var(v), -1, self.p)
+        p = self.p
+        return EncMatrix(a * inverse % p, b * inverse % p, d % p)
 
 
 def elem(v: VarId, ring) -> EncMatrix:
@@ -137,11 +136,7 @@ def elem_inv_mul(v: VarId, m: EncMatrix, ring) -> EncMatrix:
     (a / x_v, (b - d) / x_v, d).  In the symbolic ring the divisions are
     exact or raise NotDivisible, which signals a malformed step.
     """
-    return EncMatrix(
-        ring.div_by_var(m.a, v),
-        ring.div_by_var(m.b - m.d, v),
-        ring.reduce(m.d),
-    )
+    return ring.peel(v, m.a, m.b - m.d, m.d)
 
 
 def product_of(vars_seq, ring) -> EncMatrix:

@@ -5,8 +5,8 @@ modulus is the Mersenne prime 2**61 - 1, which keeps every product inside
 128-bit intermediates while leaving the collision budget d/p tiny.
 ``FieldElem`` holds the values of sampled points, assignment files and
 ``MPoly.eval``.  The replay computes on plain ints: ``encmat.FieldRing``
-holds a point's values, and ``fingerprint``'s field kernel does the
-arithmetic mod p.
+holds a point's values and reduces mod p, and ``fingerprint``'s field
+walk, modus ponens and substitution do the arithmetic.
 
 Evaluation points are drawn uniformly from [2, p): 0 would make the
 elementary matrices singular and 1 collapses them to unipotent form, so

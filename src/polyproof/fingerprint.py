@@ -29,14 +29,14 @@ that some subst step replaces, and no helper at all for a proof without
 substitution.  The exact symbolic replay tracks every atom: in the
 polynomial ring each helper's division in hom_mp is also a check on the step.
 
-``encode_fingerprint``, ``hom_mp`` and ``hom_subst`` take one of two paths,
-chosen once per call by the ring.  Over exact polynomials
-(``encmat.SymbolicRing``) the walk groups the path products and closes each
-entry with one ring call, and mp and subst are matrix products and exact
-divisions; this is the reference.  Over the field (``encmat.FieldRing``) an
-int kernel, at the end of this module, does the same arithmetic mod p with
-running sums and no intermediate matrix, and reads x_I, x_I1 and 1 / x_I2
-once per run.
+``hom_mp`` and ``hom_subst`` are written once, on the three entries, for
+both rings, with the ring's ``matrix`` and ``peel`` (see ``encmat``).
+``encode_fingerprint`` keeps two walks, chosen by the ring, each the faster
+for its coefficients: over the field (``encmat.FieldRing``) running path
+sums, O(1) per node on ints; over exact polynomials (``SymbolicRing``),
+where a running sum grows with the path and costs O(depth) per node, the
+path products grouped by what they multiply, each entry closed with one
+``MPoly.lincomb``.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .encmat import EncMatrix, FieldRing, elem, elem_inv_mul, zero_matrix
+from .encmat import EncMatrix, FieldRing, zero_matrix
+from .encmat import elem_inv_mul  # unused; the benchmark's trace counts calls through this name
 from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
-from .mpoly import MissingAssignment, VarId
+from .mpoly import MissingAssignment, MPoly, VarId
 
 
 class UnallocatedSymbol(Exception):
@@ -156,12 +157,12 @@ def encode_fingerprint(
     if isinstance(ring, FieldRing):
         return _field_encode(f, alloc, ring, tracked, binding)
     tracked, binding = set(tracked), binding or {}
-    slots, var, reduce = alloc.slots, ring.var, ring.reduce
+    slots, var = alloc.slots, MPoly.var
     vertex: Dict[VarId, tuple] = {}  # vertex variable: (value, [P(u) per node u])
     sized, nodes = {1: []}, 0  # |subtree(u)|: [P(u) per node u]; nodes entered so far
     leaves = {}  # t: [P(l) per t-leaf l], for the tracked atoms t met so far
     below = {}  # t: {#t-leaves under u: [P(u) per inner u]}
-    stack = [(f, ring.one(), None)]
+    stack = [(f, MPoly.one(), None)]
     while stack:
         node, p, edge = stack.pop()
         if node is None:  # p's subtree is done; edge holds the counts at its start
@@ -172,7 +173,7 @@ def encode_fingerprint(
                         below.setdefault(t, {}).setdefault(len(seen) - n, []).append(p)
             continue
         nodes += 1
-        p = p if edge is None else reduce(p * var(edge))
+        p = p if edge is None else p * var(edge)
         node = binding.get(node.root, node)
         root, kids = node.root, node.children
         ids = slots.get(root) or alloc.vid(root)  # vid raises UnallocatedSymbol
@@ -188,8 +189,9 @@ def encode_fingerprint(
             sized[1].append(p)
             if root in tracked:
                 leaves.setdefault(root, []).append(p)
-    lc, const = ring.lincomb, ring.const
-    main = EncMatrix(ring.dot(vertex.values()), lc(sized.items()), const(nodes))
+    lc, const = MPoly.lincomb, MPoly.const
+    main = EncMatrix(lc([(1, [x * lc([(1, ps)]) for x, ps in vertex.values()])]),
+                     lc(sized.items()), const(nodes))
     return Fingerprint(main, Helpers(ring, (
         (t, EncMatrix(lc([(1, ps)]), lc(below.get(t, {}).items()), const(len(ps))))
         for t, ps in leaves.items()
@@ -201,20 +203,26 @@ def hom_mp(fp_hyp: Fingerprint, fp_imp: Fingerprint, alloc: VarAllocation, ring)
 
     Peels the implication node: subtract the vertex matrix and the
     hypothesis branch, then cancel the edge into the conclusion branch.
+    With h the hypothesis' matrix and m the implication's, the conclusion's
+    is ((m.a - x_I - x_I1 h.a) / x_I2, (m.b - m.d - x_I1 h.b) / x_I2,
+    m.d - 1 - h.d), and a helper's the same without the vertex's x_I and 1.
     No structural check is made; a bad step either fails exact division
     (symbolic ring) or surfaces at the final comparison (field ring).
     """
-    if isinstance(ring, FieldRing):
-        return _field_mp(fp_hyp, fp_imp, alloc, ring)
-    vertex = elem(alloc.vid(IMPLIES, 0), ring)
-    left_edge = elem(alloc.vid(IMPLIES, 1), ring)
-    right_var = alloc.vid(IMPLIES, 2)
-    main = elem_inv_mul(right_var, fp_imp.main - vertex - left_edge * fp_hyp.main, ring)
-    helpers = Helpers(ring, (
-        (x, elem_inv_mul(right_var, fp_imp.helpers[x] - left_edge * fp_hyp.helpers[x], ring))
-        for x in fp_imp.helpers.keys() | fp_hyp.helpers.keys()
-    ))
-    return Fingerprint(main, helpers)
+    vertex, left, right = alloc.slots[IMPLIES]
+    x_vertex, x_left = ring.var(vertex), ring.var(left)  # x_I, x_I1, then x_I2 in peel
+    h, m = fp_hyp.main, fp_imp.main
+    main = ring.peel(right, m.a - x_vertex - x_left * h.a, m.b - m.d - x_left * h.b,
+                     m.d - ring.one() - h.d)
+    hyp_helpers, imp_helpers = fp_hyp.helpers, fp_imp.helpers
+    if not (hyp_helpers or imp_helpers):
+        return Fingerprint(main, imp_helpers)
+    helpers = []
+    for x in imp_helpers.keys() | hyp_helpers.keys():
+        h, m = hyp_helpers[x], imp_helpers[x]
+        helpers.append((x, ring.peel(right, m.a - x_left * h.a, m.b - m.d - x_left * h.b,
+                                     m.d - h.d)))
+    return Fingerprint(main, Helpers(ring, helpers))
 
 
 def hom_subst(
@@ -222,23 +230,23 @@ def hom_subst(
 ) -> Fingerprint:
     """Fingerprint of src with every leaf `var` replaced by the repl formula.
 
-    The helper of var collects the path products into the var-leaves, so
-    subtracting helper * A(X_var) removes those leaves and adding
-    helper * [repl] grafts the replacement onto every one of them.
+    The helper h of var collects the path products into the var-leaves, so
+    subtracting h A(X_var) removes those leaves and adding h [repl] grafts
+    the replacement onto every one of them.  With s the source and r the
+    replacement, that is s + (h.a (r.a - x_var), h.a (r.b - 1) + h.b (r.d - 1),
+    h.d (r.d - 1)), and each helper t becomes s_t + h r_t, or h r_var for t = var.
     """
-    if isinstance(ring, FieldRing):
-        return _field_subst(fp_src, var, fp_repl, alloc, ring)
-    leaf = elem(alloc.vid(var, 0), ring)
-    hv = fp_src.helpers[var]
-    main = ring.reduce(fp_src.main - hv * leaf + hv * fp_repl.main)
-    helpers = {}
-    for x in fp_src.helpers.keys() | fp_repl.helpers.keys():
-        graft = hv * fp_repl.helpers[x]
-        helpers[x] = ring.reduce(graft if x == var else fp_src.helpers[x] + graft)
+    x_var = ring.var(alloc.vid(var, 0))
+    if var not in fp_src.helpers:
+        return fp_src
+    one, h, s, r = ring.one(), fp_src.helpers[var], fp_src.main, fp_repl.main
+    main = ring.matrix(s.a + h.a * (r.a - x_var), s.b + h.a * (r.b - one) + h.b * (r.d - one),
+                       s.d + h.d * (r.d - one))
+    helpers = {x: m for x, m in fp_src.helpers.items() if x != var}
+    for x, r in fp_repl.helpers.items():
+        s = helpers.get(x) or zero_matrix(ring)
+        helpers[x] = ring.matrix(s.a + h.a * r.a, s.b + h.a * r.b + h.b * r.d, s.d + h.d * r.d)
     return Fingerprint(main, Helpers(ring, helpers.items()))
-
-
-# -- the field kernel ---------------------------------------------------------
 
 
 def _field_encode(f, alloc, ring, tracked, binding) -> Fingerprint:
@@ -287,51 +295,6 @@ def _field_encode(f, alloc, ring, tracked, binding) -> Fingerprint:
     if ring.no_helpers is None:  # one empty Helpers per run, for every fingerprint without one
         ring.no_helpers = Helpers(ring, ())
     return Fingerprint(main, ring.no_helpers)
-
-
-def _field_mp(fp_hyp, fp_imp, alloc, ring) -> Fingerprint:
-    """hom_mp over the field, written out on the entries: with h the
-    hypothesis' matrix and m the implication's, the conclusion's is
-    ((m.a - x_I - x_I1 h.a) / x_I2, (m.b - m.d - x_I1 h.b) / x_I2, m.d - 1 - h.d),
-    and a helper's the same without the vertex's x_I and 1."""
-    if ring.mp_values is None:  # the run's first mp step reads them, in the matrix form's order
-        vertex, left, right = alloc.slots[IMPLIES]
-        ring.mp_values = (ring.var(vertex), ring.var(left), ring.div_by_var(1, right))
-    x_vertex, x_left, inverse = ring.mp_values
-    p, h, m = ring.p, fp_hyp.main, fp_imp.main
-    main = EncMatrix((m.a - x_vertex - x_left * h.a) * inverse % p,
-                     (m.b - m.d - x_left * h.b) * inverse % p,
-                     (m.d - 1 - h.d) % p)
-    hyp_helpers, imp_helpers = fp_hyp.helpers, fp_imp.helpers
-    if not (hyp_helpers or imp_helpers):
-        return Fingerprint(main, imp_helpers)
-    helpers = []
-    for x in imp_helpers.keys() | hyp_helpers.keys():
-        h, m = hyp_helpers[x], imp_helpers[x]
-        helpers.append((x, EncMatrix((m.a - x_left * h.a) * inverse % p,
-                                     (m.b - m.d - x_left * h.b) * inverse % p,
-                                     (m.d - h.d) % p)))
-    return Fingerprint(main, Helpers(ring, helpers))
-
-
-def _field_subst(fp_src, var, fp_repl, alloc, ring) -> Fingerprint:
-    """hom_subst over the field, written out on the entries: with h the
-    helper of var, s the source and r the replacement, the result is
-    s + (h.a (r.a - x_var), h.a (r.b - 1) + h.b (r.d - 1), h.d (r.d - 1)),
-    and each helper t becomes s_t + h r_t, or h r_var for t = var."""
-    x_var = ring.var(alloc.vid(var, 0))
-    if var not in fp_src.helpers:
-        return fp_src
-    p, h, s, r = ring.p, fp_src.helpers[var], fp_src.main, fp_repl.main
-    main = EncMatrix((s.a + h.a * (r.a - x_var)) % p,
-                     (s.b + h.a * (r.b - 1) + h.b * (r.d - 1)) % p,
-                     (s.d + h.d * (r.d - 1)) % p)
-    helpers = {x: m for x, m in fp_src.helpers.items() if x != var}
-    for x, r in fp_repl.helpers.items():
-        s = helpers.get(x) or zero_matrix(ring)
-        helpers[x] = EncMatrix((s.a + h.a * r.a) % p, (s.b + h.a * r.b + h.b * r.d) % p,
-                               (s.d + h.d * r.d) % p)
-    return Fingerprint(main, Helpers(ring, helpers.items()))
 
 
 def axiom_fingerprint_via_template(

@@ -465,10 +465,10 @@ def parse_proof(text: str) -> ProofScript:
             m = _SYMBOL.fullmatch(ln)
             if not m:
                 raise ParseError("malformed symbol declaration")
-            if int(m.group(2)) > len(text):  # no call in the script can take that many arguments
+            if _number(m.group(2)) > len(text):  # no call in the script takes more arguments
                 raise ParseError(f"arity {m.group(2)} of {m.group(1)!r} exceeds the script's "
                                  f"length of {len(text)} characters")
-            sig.declare(m.group(1), int(m.group(2)))
+            sig.declare(m.group(1), _number(m.group(2)))
             i += 1
         n, ln = lines[i]
         if not _GOAL.match(ln):
@@ -482,7 +482,7 @@ def parse_proof(text: str) -> ProofScript:
             if next_ln:
                 n = next_n
                 raise ParseError(f"unexpected content after qed: {next_ln!r}")
-            qed = int(m.group(1))
+            qed = _number(m.group(1))
             if not 1 <= qed <= len(steps):
                 raise BadQed(f"qed {qed} does not name a step (have {len(steps)})")
             return ProofScript(header.group(1), sig, goal, tuple(steps), qed)
@@ -490,6 +490,16 @@ def parse_proof(text: str) -> ProofScript:
     except ParseError as exc:
         exc.line = n
         raise
+
+
+def _number(digits: str) -> int:
+    """A step number, reference or arity: never of 19 digits, as no script is 10**18
+    characters long, so a longer one is refused unread (``int()`` reads 4300 at most)."""
+    if len(digits) > 18:
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > 18:
+            raise ParseError(f"{len(digits)}-digit number exceeds the script's length")
+    return int(digits)
 
 
 def _ref(idx: int, ref: int) -> int:
@@ -504,7 +514,7 @@ def _step(ln: str, sig: Signature, idx: int):
     m = _STEP.match(ln)
     if not m:
         raise ParseError(f"unrecognized line: {ln!r}")
-    got = int(m.group(1))
+    got = _number(m.group(1))
     if got != idx:
         raise ParseError(f"steps must be numbered consecutively; expected {idx}, got {got}")
     kind = m.group(2)
@@ -516,8 +526,8 @@ def _step(ln: str, sig: Signature, idx: int):
             "subst <i> <var> with (<formula>) or: subst <i> <var> step <j>")
         raise ParseError(f"malformed {kind} step, expected: {usage}")
     if kind == "mp":
-        return MPStep(_ref(idx, int(m.group(1))), _ref(idx, int(m.group(2))))
-    src, var = _ref(idx, int(m.group(1))), m.group(2)
+        return MPStep(_ref(idx, _number(m.group(1))), _ref(idx, _number(m.group(2))))
+    src, var = _ref(idx, _number(m.group(1))), m.group(2)
     if not sig.has(var):
         sig.declare(var, 0)  # rejects a metavariable
     elif sig.arity(var) != 0:
@@ -526,7 +536,7 @@ def _step(ln: str, sig: Signature, idx: int):
         return SubstStep(src, var, replacement=_whole_formula(ln, sig, m.start(4), True))
     if not (m.group(4).isascii() and m.group(4).isdecimal()):
         raise ParseError("malformed subst step reference")
-    return SubstStep(src, var, replacement_step=_ref(idx, int(m.group(4))))
+    return SubstStep(src, var, replacement_step=_ref(idx, _number(m.group(4))))
 
 
 def _axiom_step(cur: _Cursor, sig: Signature) -> AxiomStep:

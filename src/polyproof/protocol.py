@@ -96,7 +96,10 @@ class Assignment:
             m = _ASSIGNMENT_LINE.fullmatch(line)
             if not m:
                 raise ValueError(f"assignment line {line_no}: malformed {raw!r}")
-            name, number = m.group(1), int(m.group(2))
+            name, digits = m.group(1), m.group(2).lstrip("0") or "0"
+            if len(digits) > 19:  # p < 2**63 has 19 digits; int() reads 4300 at most
+                raise ValueError(f"assignment line {line_no}: {len(digits)}-digit number > 2**63")
+            number = int(digits)
             if name == "prime":
                 if field is not None:
                     raise ValueError(f"assignment line {line_no}: duplicate prime")
@@ -259,9 +262,9 @@ def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, stric
 
 def prove(script: ProofScript, assignment: Assignment, *, strict: bool = False) -> Transcript:
     """Single-run verification under an explicitly given assignment."""
-    alloc = VarAllocation(script.signature)
-    run = _replay(script, alloc, assignment.ring(), tracked_atoms(script), strict)
-    return _transcript(script, assignment.field, assignment.provenance, [run])
+    alloc, tracked = VarAllocation(script.signature), tracked_atoms(script)
+    run = _replay(script, alloc, assignment.ring(), tracked, strict)
+    return _transcript(script, assignment.field, assignment.provenance, [run], tracked)
 
 
 def verify(
@@ -281,14 +284,13 @@ def verify(
         raise ValueError("repeats must be >= 1")
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
-    alloc = VarAllocation(script.signature)
-    tracked = tracked_atoms(script)
+    alloc, tracked = VarAllocation(script.signature), tracked_atoms(script)
     runs = []
     for r in range(1, repeats + 1):
         sub_seed = hashlib.sha256(seed + r.to_bytes(4, "big")).digest()
         ring = Assignment.from_seed(sub_seed, field, alloc).ring()
         runs.append(_replay(script, alloc, ring, tracked, strict))
-    return _transcript(script, field, f"seed {seed.hex()}", runs)
+    return _transcript(script, field, f"seed {seed.hex()}", runs, tracked)
 
 
 def verify_symbolic(script: ProofScript, *, strict: bool = False) -> Run:
@@ -317,7 +319,7 @@ def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked, strict: bo
     return Run(records, alpha1, fps[script.qed - 1].main)
 
 
-def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -> Transcript:
+def _transcript(script: ProofScript, field: PrimeField, provenance, runs, tracked) -> Transcript:
     d = proof_degree_bound(script)
     return Transcript(
         proof_name=script.name,
@@ -327,7 +329,7 @@ def _transcript(script: ProofScript, field: PrimeField, provenance: str, runs) -
         d_bound=d,
         epsilon=_epsilon(d, field.p, len(runs)),
         runs=runs,
-        tracked=tracked_atoms(script),
+        tracked=tracked,
     )
 
 

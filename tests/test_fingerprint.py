@@ -621,6 +621,33 @@ def test_field_kernel_is_the_symbolic_closed_form_at_the_point(
         assert pair[0] == pair[1]
 
 
+@settings(max_examples=150)
+@given(fn_formulas, fn_formulas, fn_formulas, st.sets(st.sampled_from(ATOMS)),
+       st.sampled_from(ATOMS))
+def test_symbolic_mp_and_subst_are_the_matrix_products(f, g, h, tracked, var):
+    # hom_mp and hom_subst have one body for both rings, so the test above
+    # compares that body with itself.  Here it meets the matrix-product forms
+    # exactly over polynomials.  The antecedent h may not be the hypothesis f;
+    # then the divisions may fail, and both forms must raise NotDivisible.
+    _, alloc = make_alloc(extra=(("w", 0), ("g", 1), ("h", 3)))
+
+    def fp(formula):
+        return encode_fingerprint(formula, alloc, RING, tracked)
+
+    def outcome(fn, *args):
+        try:
+            got = fn(*args)
+        except NotDivisible:
+            return None
+        return got if isinstance(got, tuple) else (got.main, dict(got.helpers))
+
+    for antecedent in (f, h):
+        args = (fp(f), fp(imp(antecedent, g)), alloc, RING)
+        assert outcome(hom_mp, *args) == outcome(reference_hom_mp, *args)
+    args = (fp(f), var, fp(g), alloc, RING)
+    assert outcome(hom_subst, *args) == outcome(reference_hom_subst, *args)
+
+
 def test_field_kernel_on_a_5000_deep_negation_chain():
     # The walk, mp and subst use no recursion, so depth costs no stack.
     _, alloc = make_alloc()

@@ -331,6 +331,9 @@ def test_only_one_layer_of_grouping_parens(lines):
         _two_steps(lines)
 
 
+_LONG = "9" * 5000
+
+
 @pytest.mark.parametrize("text, line, cls", [
     ('proof "p"\ngoal x\n1 axiom K { alpha = x $, beta = y }\nqed 1\n', 3, ParseError),
     ('proof "p"\ngoal x\n\n1 axiom K { alpha = x, beta = y }\n\n', 4, ParseError),
@@ -340,12 +343,32 @@ def test_only_one_layer_of_grouping_parens(lines):
     ('proof "p"\ngoal x\n1 axiom K { alpha = x, beta = y }\nqed 1\nqed 1\n', 5, ParseError),
     ('proof "p"\ngoal (x ->', 2, ParseError),
     ('proof "p"\n', 1, ParseError),
+    # numbers of over 4300 digits, which int() refuses to read
+    (f'proof "p"\nsymbol f arity {_LONG}\ngoal x\n1 axiom K {{ alpha = x, beta = y }}\nqed 1\n',
+     2, ParseError),
+    (f'proof "p"\ngoal x\n{_LONG} axiom K {{ alpha = x, beta = y }}\nqed 1\n', 3, ParseError),
+    (f'proof "p"\ngoal x\n1 axiom K {{ alpha = x, beta = y }}\n2 mp 1 {_LONG}\nqed 2\n', 4,
+     ParseError),
+    (f'proof "p"\ngoal x\n1 axiom K {{ alpha = x, beta = y }}\n2 subst {_LONG} x with (y)\n'
+     "qed 2\n", 4, ParseError),
+    (f'proof "p"\ngoal x\n1 axiom K {{ alpha = x, beta = y }}\n2 subst 1 x step {_LONG}\n'
+     "qed 2\n", 4, ParseError),
+    (f'proof "p"\ngoal x\n1 axiom K {{ alpha = x, beta = y }}\nqed {_LONG}\n', 4, ParseError),
 ])
 def test_parse_errors_name_their_line(text, line, cls):
     with pytest.raises(cls) as exc:
         parse_proof(text)
     assert exc.value.line == line
     assert str(exc.value).endswith(f" (line {line})") and "None" not in str(exc.value)
+
+
+def test_leading_zeros_do_not_count_as_digits():
+    z = "0" * 5000
+    script = parse_proof(f'proof "p"\nsymbol f arity {z}2\ngoal x\n'
+                         f"{z}1 axiom K {{ alpha = x, beta = y }}\n2 mp {z}1 {z}1\n"
+                         f"3 subst {z}1 x step {z}2\nqed {z}3\n")
+    assert script.signature.arity("f") == 2 and script.qed == 3
+    assert script.steps[1] == MPStep(1, 1) and script.steps[2].replacement_step == 2
 
 
 def test_parse_proof_rejects_bad_numbering():

@@ -329,6 +329,14 @@ def test_assignment_file_rejects_bad_values():
         Assignment.from_file_text("prime = 101\nQQ = 7\n", alloc)
     with pytest.raises(ValueError):
         Assignment.from_file_text("I = 7\n", alloc)
+    # numbers of over 4300 digits, which int() refuses to read, still name their line
+    with pytest.raises(ValueError, match=r"^assignment line 1: 5000-digit number > 2\*\*63$"):
+        Assignment.from_file_text("prime = " + "9" * 5000 + "\n", alloc)
+    with pytest.raises(ValueError, match=r"^assignment line 2: 5000-digit number > 2\*\*63$"):
+        Assignment.from_file_text("prime = 101\nI = " + "9" * 5000 + "\n", alloc)
+    # leading zeros do not count as digits
+    back = Assignment.from_file_text("prime = " + "0" * 5000 + "101\nI = 007\n", alloc)
+    assert back.field.p == 101 and back.values[alloc.vid("->")].value == 7
 
 
 def test_assignment_file_numbers_are_ascii_digits():

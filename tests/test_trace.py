@@ -12,7 +12,7 @@ import io
 import pytest
 
 from polyproof import cli
-from polyproof.logic import MPStep, parse_proof
+from polyproof.logic import MPStep, SubstStep, parse_proof
 
 from .conftest import benchmark_cases, benchmark_layers, load_proof_text
 
@@ -32,6 +32,8 @@ def _run(main, argv):
     # the default mode replays symbolically, which breaks off inside hom_mp, then in the field
     ("chain3_bad5", CASES.chain_text(3, bad=5), [], 1, 2),
     ("imp_refl", load_proof_text("imp_refl"), [], 0, 2),
+    # hom_subst in both rings: the symbolic replay, then the field one
+    ("subst_demo", load_proof_text("subst_demo"), [], 0, 2),
 ])
 def test_trace_keeps_the_outcome_and_accounts_for_the_run(tmp_path, name, text, flags, code,
                                                           replays):
@@ -53,3 +55,5 @@ def test_trace_keeps_the_outcome_and_accounts_for_the_run(tmp_path, name, text, 
     assert sum(own.values()) == pytest.approx(roots[0] * 1000.0)
     mp_steps = sum(isinstance(step, MPStep) for step in parse_proof(text).steps)
     assert layer["fingerprint.hom_mp_calls"] == mp_steps * replays
+    subst_steps = sum(isinstance(step, SubstStep) for step in parse_proof(text).steps)
+    assert layer["fingerprint.hom_subst_calls"] == subst_steps * replays
