@@ -31,10 +31,12 @@ replacement) may sit inside one layer of grouping parentheses: ``alpha = (x)``
 reads as ``alpha = x``.
 Steps are numbered consecutively from 1, in ASCII digits, and may only
 reference earlier steps.  Every ``ParseError`` from ``parse_proof`` names
-its line.  ``run_classical`` executes a script purely syntactically and is
-the ground-truth checker the matrix pipeline is tested against.  A
-``Formula`` is immutable, carries its depth and compares by structure
-without recursion; formulas are unhashable.
+its line.  ``replay`` is the only loop over proof steps: ``step_formulas``
+runs it over formulas and ``protocol.propagate`` over fingerprints.
+``run_classical`` executes a script purely syntactically and is the
+ground-truth checker the matrix pipeline is tested against.  A ``Formula`` is
+immutable, carries its depth and compares by structure without recursion;
+formulas are unhashable.
 """
 
 from __future__ import annotations
@@ -567,46 +569,51 @@ def _axiom_step(cur: _Cursor, sig: Signature) -> AxiomStep:
     return AxiomStep(name, binding)
 
 
-# -- the classical (syntactic) checker ----------------------------------------
+# -- the step interpreter and the classical (syntactic) checker ---------------
+
+def replay(script: ProofScript, axiom, mp, subst, lift, out: list) -> list:
+    """Run the script in the algebra ``axiom(scheme, binding)``, ``mp(hyp, imp)``,
+    ``subst(source, var, replacement)`` and ``lift(formula)`` (for a literal
+    ``with`` formula), appending one value per step to out; returns out.  When
+    an operation raises, out holds the steps before it: its step is len(out) + 1.
+    """
+    for step in script.steps:
+        if isinstance(step, AxiomStep):
+            value = axiom(AXIOM_SCHEMES[step.scheme], step.binding)
+        elif isinstance(step, MPStep):
+            value = mp(out[step.hyp - 1], out[step.imp - 1])
+        else:
+            ref = step.replacement_step
+            repl = lift(step.replacement) if ref is None else out[ref - 1]
+            value = subst(out[step.source - 1], step.var, repl)
+        out.append(value)
+    return out
+
 
 def step_formulas(script: ProofScript, *, partial: bool = False) -> List[Formula]:
-    """The formula derived at each step, executing the script syntactically.
+    """The formula derived at each step: the script replayed in the syntax algebra.
 
-    The formulas share subtrees (see ``_substitute``), so one substituted
-    into itself k times costs its distinct nodes, not its tree, and so does
-    the mp check's ``==``; a walk that ignores sharing (``str``) still pays
-    for the tree.
-
-    With partial=True, stops at the first broken step and returns the
-    prefix instead of raising.
+    The formulas share subtrees (see ``_substitute``), so one substituted into
+    itself k times costs its distinct nodes, not its tree, and so does the mp
+    check's ``==``; a walk that ignores sharing (``str``) still pays for the tree.
+    With partial=True, stops at the first broken step and returns the prefix.
     """
     derived: List[Formula] = []
-    for step in script.steps:
-        try:
-            if isinstance(step, AxiomStep):
-                f = instantiate_axiom(AXIOM_SCHEMES[step.scheme], step.binding)
-            elif isinstance(step, MPStep):
-                hyp = derived[step.hyp - 1]
-                impl = derived[step.imp - 1]
-                if impl.root != IMPLIES or impl.children[0] != hyp:
-                    if partial:
-                        return derived
-                    raise MPShapeMismatch(
-                        f"step {len(derived) + 1}: {formula_text(impl)} "
-                        f"does not follow from {formula_text(hyp)} by mp"
-                    )
-                f = impl.children[1]
-            else:
-                repl = step.replacement
-                if repl is None:
-                    repl = derived[step.replacement_step - 1]
-                f = subst_syntactic(derived[step.source - 1], step.var, repl, script.signature)
-        except NotAVariable:
-            if partial:
-                return derived
-            raise
-        derived.append(f)
-    return derived
+
+    def mp(hyp: Formula, impl: Formula) -> Formula:
+        if impl.root != IMPLIES or impl.children[0] != hyp:
+            raise MPShapeMismatch(f"step {len(derived) + 1}: {formula_text(impl)} "
+                                  f"does not follow from {formula_text(hyp)} by mp")
+        return impl.children[1]
+
+    try:
+        return replay(script, instantiate_axiom, mp,
+                      lambda f, var, repl: subst_syntactic(f, var, repl, script.signature),
+                      lambda f: f, derived)
+    except (MPShapeMismatch, NotAVariable):
+        if partial:
+            return derived
+        raise
 
 
 def run_classical(script: ProofScript) -> Formula:

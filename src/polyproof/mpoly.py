@@ -16,7 +16,7 @@ may surround any token):
 
     poly   := [ "+" | "-" ] term { ("+" | "-") term }
     term   := factor { "*" factor }
-    factor := integer | name [ "^" integer ]
+    factor := integer | name [ "^" integer ]    # integer: 1 to 4300 digits
 
 Nothing nests, so the grammar is regular: ``parse`` checks a text with one
 regular expression.  ``render`` orders terms by total degree descending,
@@ -256,7 +256,8 @@ class MPoly:
 
 # Each token is followed by one run of whitespace and never preceded by
 # one, so a failing match cannot split a run of blanks in many ways.
-_FACTOR = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*([0-9]+))?")
+_NUMBER = r"([0-9]{1,4300})(?![0-9])"  # int() reads 4300 digits at most
+_FACTOR = re.compile(rf"{_NUMBER}|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*{_NUMBER})?")
 _TERM = rf"(?:{_FACTOR.pattern})\s*(?:\*\s*(?:{_FACTOR.pattern})\s*)*"
 _POLY = re.compile(rf"\s*(?:[+-]\s*)?{_TERM}(?:[+-]\s*{_TERM})*")
 _SIGNED_TERM = re.compile(r"\s*([+-]?)([^+-]+)")

@@ -4,9 +4,9 @@ A proof script is replayed twice over the same random point of the field:
 
   * alpha1 is the evaluated encoding of the declared goal, computed
     directly from the goal formula;
-  * alpha2 is propagated from the axiom fingerprints through the
-    homomorphic modus-ponens and substitution operators, without ever
-    looking at the intermediate formulas.
+  * alpha2 is the script replayed by ``logic.replay`` over fingerprints:
+    the axioms' fingerprints, then the homomorphic modus-ponens and
+    substitution operators, never looking at the formulas in between.
 
 The run accepts exactly when alpha1 == alpha2.  When a wrong proof
 propagates to a matrix other than the goal's, it is accepted only if the
@@ -49,10 +49,10 @@ from .fingerprint import (
 from .logic import (
     AXIOM_SCHEMES,
     AxiomStep,
-    MPStep,
     ProofScript,
     SubstStep,
     instantiate_axiom,  # unused here; the benchmark's layer trace counts calls through this name
+    replay,
     step_formulas,
 )
 from .mpoly import MissingAssignment, NotDivisible, VarId
@@ -103,7 +103,10 @@ class Assignment:
             if name == "prime":
                 if field is not None:
                     raise ValueError(f"assignment line {line_no}: duplicate prime")
-                field = PrimeField(number)
+                try:
+                    field = PrimeField(number)
+                except ValueError as exc:
+                    raise ValueError(f"assignment line {line_no}: {exc}") from None
                 continue
             if field is None:
                 raise ValueError("assignment file must start with: prime = <decimal>")
@@ -233,30 +236,23 @@ def proof_degree_bound(script: ProofScript) -> int:
 
 
 def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, strict: bool = False):
-    """Replay the proof steps over the given ring; returns (records, fingerprints)."""
+    """The script replayed in the fingerprint algebra over the given ring;
+    returns (records, fingerprints)."""
     fps: List[Fingerprint] = []
-    records: List[StepRecord] = []
-    for idx, step in enumerate(script.steps, 1):
-        if isinstance(step, AxiomStep):
-            scheme = AXIOM_SCHEMES[step.scheme]
-            scheme.check_binding(step.binding)
-            fp = encode_fingerprint(scheme.template, alloc, ring, tracked, step.binding)
-            if strict:
-                fp2 = axiom_fingerprint_via_template(scheme, step.binding, alloc, ring, tracked)
-                if fp != fp2:
-                    raise StrictCheckError(
-                        f"step {idx}: template-derived axiom fingerprint disagrees"
-                    )
-        elif isinstance(step, MPStep):
-            fp = hom_mp(fps[step.hyp - 1], fps[step.imp - 1], alloc, ring)
-        else:
-            if step.replacement is not None:
-                repl = encode_fingerprint(step.replacement, alloc, ring, tracked)
-            else:
-                repl = fps[step.replacement_step - 1]
-            fp = hom_subst(fps[step.source - 1], step.var, repl, alloc, ring)
-        fps.append(fp)
-        records.append(StepRecord(idx, step.kind, fp))
+
+    def axiom(scheme, binding) -> Fingerprint:
+        scheme.check_binding(binding)
+        fp = encode_fingerprint(scheme.template, alloc, ring, tracked, binding)
+        if strict and fp != axiom_fingerprint_via_template(scheme, binding, alloc, ring, tracked):
+            raise StrictCheckError(
+                f"step {len(fps) + 1}: template-derived axiom fingerprint disagrees")
+        return fp
+
+    replay(script, axiom,
+           lambda hyp, imp: hom_mp(hyp, imp, alloc, ring),
+           lambda source, var, repl: hom_subst(source, var, repl, alloc, ring),
+           lambda f: encode_fingerprint(f, alloc, ring, tracked), fps)
+    records = [StepRecord(i, s.kind, fp) for i, (s, fp) in enumerate(zip(script.steps, fps), 1)]
     return records, fps
 
 
@@ -327,12 +323,7 @@ def _transcript(script: ProofScript, field: PrimeField, provenance, runs, tracke
         provenance=provenance,
         repeats=len(runs),
         d_bound=d,
-        epsilon=_epsilon(d, field.p, len(runs)),
+        epsilon=min(Fraction(1), Fraction(d, field.p - 2)) ** len(runs),  # d / (p - 2) per run
         runs=runs,
         tracked=tracked,
     )
-
-
-def _epsilon(d: int, p: int, repeats: int) -> Fraction:
-    per_run = min(Fraction(1), Fraction(d, p - 2))
-    return per_run**repeats

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from polyproof import cli, logic, protocol
 from polyproof.cli import main
-from polyproof.encmat import SymbolicRing, product_of
+from polyproof.encmat import EncMatrix, SymbolicRing, product_of
 from polyproof.ffield import MERSENNE61, ZeroInverse
 from polyproof.logic import ParseError, parse_proof
 from polyproof.mpoly import NotDivisible
@@ -758,3 +758,30 @@ def test_verify_output_matches_recorded_digest(name, prime, repeats):
 @pytest.mark.parametrize("formula", sorted(ENCODE_DIGESTS))
 def test_encode_output_matches_recorded_digest(formula):
     assert output_digest(["encode", formula, "--seed", "01"]) == ENCODE_DIGESTS[formula]
+
+
+@pytest.mark.parametrize("mode", [["--mode", "field", "--seed", "01"], ["--mode", "symbolic"]])
+@pytest.mark.parametrize("name", ["imp_refl", "subst_demo"])
+def test_strict_check_names_the_axiom_step_it_fails(capsys, monkeypatch, name, mode):
+    # With the template route perturbed on the k-th axiom only, --strict
+    # exits 2 naming that axiom's step number.
+    path = str(PROOF_DIR / f"{name}.proof")
+    steps = parse_proof(load_proof_text(name)).steps
+    axiom_steps = [n for n, step in enumerate(steps, 1) if step.kind == "axiom"]
+    via_template = protocol.axiom_fingerprint_via_template
+    for k, step_no in enumerate(axiom_steps, 1):
+        seen = []
+
+        def perturbed(scheme, *args):
+            fp = via_template(scheme, *args)
+            seen.append(scheme.name)
+            if len(seen) < k:
+                return fp
+            m = fp.main
+            return type(fp)(EncMatrix(m.a, m.b, m.d + m.d), fp.helpers)
+
+        monkeypatch.setattr(protocol, "axiom_fingerprint_via_template", perturbed)
+        code, out, err = run(capsys, "verify", path, *mode, "--strict")
+        assert (code, out) == (2, "")
+        assert err == f"error: step {step_no}: template-derived axiom fingerprint disagrees\n"
+        assert seen == [steps[n - 1].scheme for n in axiom_steps[:k]]

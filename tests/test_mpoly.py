@@ -154,6 +154,11 @@ def test_parse_names_the_offset_where_malformed_text_stops():
         MPoly.parse("X1 + $ 1")
     with pytest.raises(ValueError, match=r"^malformed polynomial at offset 2: '\^\*{7}'$"):
         MPoly.parse("X1^" + "*" * 1000)
+    # a coefficient or exponent of over 4300 digits, which int() refuses to read
+    with pytest.raises(ValueError, match=r"^malformed polynomial at offset 0: '9{8}'$"):
+        MPoly.parse("9" * 5000 + "*X1", {})
+    with pytest.raises(ValueError, match=r"^malformed polynomial at offset 2: '\^9{7}'$"):
+        MPoly.parse("X1^" + "9" * 5000, {})
 
 
 def test_parse_reads_ascii_digits_only():

@@ -9,7 +9,7 @@ from polyproof import protocol
 from polyproof.cli import _tamper
 from polyproof.encmat import EncMatrix, SymbolicRing, zero_matrix
 from polyproof.ffield import MERSENNE61, PrimeField
-from polyproof.fingerprint import VarAllocation, encode
+from polyproof.fingerprint import VarAllocation, encode, encode_fingerprint
 from polyproof.logic import (
     AXIOM_SCHEMES,
     AxiomStep,
@@ -210,6 +210,40 @@ def test_field_steps_are_symbolic_steps_evaluated(name, prime):
                         assert fp.helpers[t] == ev(exact.helpers[t]), (rec.index, t, script)
 
 
+def homomorphism_scripts():
+    """The fixtures and their atom swaps, each with every tamper step, chain1-3
+    with no broken step and with each of its last block's steps broken, and grow1-3."""
+    cases = benchmark_cases()
+    for name in FIXTURES:
+        for base in [fixture(name)] + atom_swap_variants(name):
+            yield from [base] + [_tamper(base, k) for k in range(1, len(base.steps) + 1)]
+    for k in (1, 2, 3):
+        yield from (parse_proof(cases.chain_text(k, bad)) for bad in range(6))
+        yield parse_proof(cases.grow_text(k))
+
+
+def test_fingerprint_replay_encodes_the_syntax_replay():
+    # The homomorphism over whole proofs: at every step before the first
+    # broken one, the fingerprint propagate derives is the encoding of the
+    # formula step_formulas derives.  Exactly over every atom, up to the
+    # exact replay's first failed division, and in the field at one point
+    # over the substituted atoms.
+    scripts, compared = list(homomorphism_scripts()), 0
+    assert len(scripts) == 94
+    for script in scripts:
+        formulas = step_formulas(script, partial=True)
+        alloc = VarAllocation(script.signature)
+        field_ring = Assignment.from_seed(SEED1, M61, alloc).ring()
+        exact = [rec.fingerprint for rec in symbolic_prefix(script, alloc, script_atoms(script))]
+        field = propagate(script, alloc, field_ring, tracked_atoms(script))[1]
+        for ring, tracked, fps in ((SymbolicRing(), script_atoms(script), exact),
+                                   (field_ring, tracked_atoms(script), field)):
+            for n, (f, fp) in enumerate(zip(formulas, fps), 1):
+                assert encode_fingerprint(f, alloc, ring, tracked) == fp, (n, script)
+                compared += 1
+    assert compared == 908
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_propagate_builds_no_axiom_instance(name, monkeypatch):
     def refuse(scheme, binding):
@@ -337,6 +371,12 @@ def test_assignment_file_rejects_bad_values():
     # leading zeros do not count as digits
     back = Assignment.from_file_text("prime = " + "0" * 5000 + "101\nI = 007\n", alloc)
     assert back.field.p == 101 and back.values[alloc.vid("->")].value == 7
+    # a prime line whose value is no prime in [3, 2**63) names its line too
+    with pytest.raises(ValueError, match=r"^assignment line 2: modulus must satisfy 3 <= p < "
+                                         r"2\*\*63, got 2$"):
+        Assignment.from_file_text("\nprime = 2\n", alloc)
+    with pytest.raises(ValueError, match=r"^assignment line 1: modulus 100 is not prime$"):
+        Assignment.from_file_text("prime = 100\nI = 7\n", alloc)
 
 
 def test_assignment_file_numbers_are_ascii_digits():
