@@ -13,7 +13,7 @@ node u, each entry is a sum with one term per node:
     [f] = (sum_u P(u) x_vertex(u), sum_u P(u) |subtree(u)|, #nodes)
 
 so ``encode_fingerprint`` walks the tree once, without recursion, at one
-ring product per node: P(child) = P(u) x_edge.  An axiom is walked as its
+product per node: P(child) = P(u) x_edge.  An axiom is walked as its
 scheme's template, each metavariable leaf read as its binding, so the
 instance is never built.
 Distinct formulas get distinct matrices up to 6 nodes; from 7 nodes on the
@@ -35,20 +35,20 @@ both rings, with the ring's ``matrix`` and ``peel`` (see ``encmat``).
 for its coefficients: over the field (``encmat.FieldRing``) running path
 sums, O(1) per node on ints; over exact polynomials (``SymbolicRing``),
 where a running sum grows with the path and costs O(depth) per node, the
-path products grouped by what they multiply, each entry closed with one
-``MPoly.lincomb``.
+closed form term by term: P(u) is a monomial, each node adds its terms to
+the entries' {monomial: coefficient} maps, and no polynomials are multiplied.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .encmat import EncMatrix, FieldRing, zero_matrix
 from .encmat import elem_inv_mul  # unused; the benchmark's trace counts calls through this name
 from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
-from .mpoly import MissingAssignment, MPoly, VarId
+from .mpoly import MissingAssignment, MPoly, VarId, times_var
 
 
 class UnallocatedSymbol(Exception):
@@ -157,44 +157,36 @@ def encode_fingerprint(
     if isinstance(ring, FieldRing):
         return _field_encode(f, alloc, ring, tracked, binding)
     tracked, binding = set(tracked), binding or {}
-    slots, var = alloc.slots, MPoly.var
-    vertex: Dict[VarId, tuple] = {}  # vertex variable: (value, [P(u) per node u])
-    sized, nodes = {1: []}, 0  # |subtree(u)|: [P(u) per node u]; nodes entered so far
-    leaves = {}  # t: [P(l) per t-leaf l], for the tracked atoms t met so far
-    below = {}  # t: {#t-leaves under u: [P(u) per inner u]}
-    stack = [(f, MPoly.one(), None)]
+    slots, const = alloc.slots, MPoly.const
+    a, b, nodes = Counter(), Counter(), 0  # entries as {monomial: coefficient}; nodes entered
+    leaves = Counter()  # tracked atom t: t-leaves entered so far
+    ha, hb = defaultdict(Counter), defaultdict(Counter)  # t: the a and b entries of t's helper
+    stack = [(f, (), None)]  # node, P(parent) as a monomial, edge variable into node
     while stack:
         node, p, edge = stack.pop()
-        if node is None:  # p's subtree is done; edge holds the counts at its start
-            sized.setdefault(nodes - edge[0], []).append(p)
-            if leaves:
-                for (t, seen), n in zip_longest(leaves.items(), edge[1:], fillvalue=0):
-                    if len(seen) > n:
-                        below.setdefault(t, {}).setdefault(len(seen) - n, []).append(p)
+        if node is None:  # leaving the inner node u with P(u) = p; edge: counts on entry
+            start, seen = edge
+            b[p] += nodes - start  # |subtree(u)|
+            for t, n in leaves.items():
+                hb[t][p] += n - seen.get(t, 0)  # t-leaves below u
             continue
         nodes += 1
-        p = p if edge is None else p * var(edge)
+        p = p if edge is None else times_var(p, edge)
         node = binding.get(node.root, node)
         root, kids = node.root, node.children
         ids = slots.get(root) or alloc.vid(root)  # vid raises UnallocatedSymbol
-        if ids[0] not in vertex:
-            vertex[ids[0]] = (var(ids[0]), [])
-        vertex[ids[0]][1].append(p)
+        a[times_var(p, ids[0])] += 1
         if kids:
-            start = (nodes - 1, *map(len, leaves.values())) if leaves else (nodes - 1,)
-            stack.append((None, p, start))
+            stack.append((None, p, (nodes - 1, dict(leaves))))
             for slot in range(len(kids), 0, -1):
                 stack.append((kids[slot - 1], p, ids[slot]))
-        else:
-            sized[1].append(p)
-            if root in tracked:
-                leaves.setdefault(root, []).append(p)
-    lc, const = MPoly.lincomb, MPoly.const
-    main = EncMatrix(lc([(1, [x * lc([(1, ps)]) for x, ps in vertex.values()])]),
-                     lc(sized.items()), const(nodes))
-    return Fingerprint(main, Helpers(ring, (
-        (t, EncMatrix(lc([(1, ps)]), lc(below.get(t, {}).items()), const(len(ps))))
-        for t, ps in leaves.items()
+            continue
+        b[p] += 1
+        if root in tracked:
+            ha[root][p] += 1
+            leaves[root] += 1
+    return Fingerprint(EncMatrix(MPoly(a), MPoly(b), const(nodes)), Helpers(ring, (
+        (t, EncMatrix(MPoly(ha[t]), MPoly(hb[t]), const(n))) for t, n in leaves.items()
     )))
 
 

@@ -107,16 +107,6 @@ class MPoly:
                     terms.pop(mono, None)
         return MPoly(terms)
 
-    @staticmethod
-    def lincomb(groups) -> "MPoly":
-        """The sum of c * (sum of polys) over (int c, polys) groups, merged in one pass."""
-        terms: dict = {}
-        for c, polys in groups:
-            for poly in polys:
-                for m, k in poly._terms.items():
-                    terms[m] = terms.get(m, 0) + c * k
-        return MPoly(terms)
-
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -254,10 +244,20 @@ class MPoly:
         return cls(terms)
 
 
+def times_var(mono: tuple, v: VarId) -> tuple:
+    """The monomial x_v * mono."""
+    for i, (w, e) in enumerate(mono):
+        if w >= v:
+            return mono[:i] + ((v, e + 1 if w == v else 1),) + mono[i + (w == v):]
+    return mono + ((v, 1),)
+
+
 # Each token is followed by one run of whitespace and never preceded by
 # one, so a failing match cannot split a run of blanks in many ways.
-_NUMBER = r"([0-9]{1,4300})(?![0-9])"  # int() reads 4300 digits at most
-_FACTOR = re.compile(rf"{_NUMBER}|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*{_NUMBER})?")
+# int() reads 4300 digits at most: a number's, and the k of a name X<k>.
+_NUMBER = r"([0-9]{1,4300})(?![0-9])"
+_NAME = r"(?!X[0-9]{4301})[A-Za-z_][A-Za-z0-9_]*"
+_FACTOR = re.compile(rf"{_NUMBER}|({_NAME})(?:\s*\^\s*{_NUMBER})?")
 _TERM = rf"(?:{_FACTOR.pattern})\s*(?:\*\s*(?:{_FACTOR.pattern})\s*)*"
 _POLY = re.compile(rf"\s*(?:[+-]\s*)?{_TERM}(?:[+-]\s*{_TERM})*")
 _SIGNED_TERM = re.compile(r"\s*([+-]?)([^+-]+)")

@@ -176,13 +176,17 @@ class Transcript:
         return "accept" if all(run.accepted for run in self.runs) else "reject"
 
     def render(self) -> str:
+        try:
+            epsilon = str(self.epsilon)
+        except ValueError:  # more digits than Python prints, so d < p - 2: print the power
+            epsilon = f"({Fraction(self.d_bound, self.field.p - 2)})^{self.repeats}"
         lines = [
             f"proof {self.proof_name}",
             f"prime {self.field.p}",
             self.provenance,
             f"repeats {self.repeats}",
             f"d-bound {self.d_bound}",
-            f"epsilon {self.epsilon}",
+            f"epsilon {epsilon}",
         ]
         for r, run in enumerate(self.runs, 1):
             if self.repeats > 1:

@@ -665,3 +665,27 @@ def test_field_kernel_on_a_5000_deep_negation_chain():
     grafted = subst_syntactic(deep, "x", imp(atom("x"), atom("y")), sig)
     assert hom_subst(fp(deep), "x", fp(imp(atom("x"), atom("y"))), alloc, ring) == fp(grafted)
     assert fp(grafted).main.d == 5003 and fp(grafted).helpers["y"].d == 1
+
+
+def test_symbolic_walk_multiplies_no_polynomials(monkeypatch):
+    # The walk adds each node's closed-form terms straight into the entries:
+    # no polynomial product, on a deep chain or a wide tree, read as the
+    # bindings of a template with every atom tracked.
+    def refuse(*_):
+        raise AssertionError("the symbolic walk multiplied two polynomials")
+
+    monkeypatch.setattr("polyproof.mpoly.MPoly.__mul__", refuse)
+    _, alloc = make_alloc()
+    deep = atom("x")
+    for _ in range(5000):
+        deep = neg(deep)
+    level = [atom(name) for name in "xyzx" * 64]
+    while len(level) > 1:
+        level = [imp(a, b) for a, b in zip(level[::2], level[1::2])]
+    tree = level[0]  # 256 leaves: 128 x, 64 y, 64 z
+    scheme = AXIOM_SCHEMES["K"]  # (alpha -> (beta -> alpha))
+    fp = encode_fingerprint(scheme.template, alloc, RING, ("x", "y", "z"),
+                            dict(zip(scheme.metavars, (deep, tree))))
+    assert fp == encode_fingerprint(imp(deep, imp(tree, deep)), alloc, RING, ("x", "y", "z"))
+    assert fp.main.d.constant_value() == 2 + 2 * 5001 + 511
+    assert [fp.helpers[t].d.constant_value() for t in "xyz"] == [130, 64, 64]

@@ -159,6 +159,11 @@ def test_parse_names_the_offset_where_malformed_text_stops():
         MPoly.parse("9" * 5000 + "*X1", {})
     with pytest.raises(ValueError, match=r"^malformed polynomial at offset 2: '\^9{7}'$"):
         MPoly.parse("X1^" + "9" * 5000, {})
+    # without a name map, a default name X<k> whose k has over 4300 digits
+    with pytest.raises(ValueError, match=r"^malformed polynomial at offset 0: 'X1{7}'$"):
+        MPoly.parse("X" + "1" * 5000)
+    with pytest.raises(ValueError, match=r"^malformed polynomial at offset 3: '- X1{5}'$"):
+        MPoly.parse("X1 - X" + "1" * 5000)
 
 
 def test_parse_reads_ascii_digits_only():

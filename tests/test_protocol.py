@@ -422,6 +422,12 @@ def test_epsilon_scales_with_repeats():
     t = verify(script, SEED1, 3, PrimeField(101))
     assert t.epsilon == Fraction(5, 99) ** 3
     assert t.verdict == "accept"
+    # Past 4300 digits, which Python refuses to print, the bound prints as a power.
+    full = verify(script, SEED1, 200, M61).render()
+    assert f"\nepsilon {Fraction(5, MERSENNE61 - 2) ** 200}\n" in full
+    t = verify(script, SEED1, 240, M61)
+    assert t.epsilon == Fraction(5, MERSENNE61 - 2) ** 240
+    assert f"\nepsilon (5/{MERSENNE61 - 2})^240\nrepeat 1\n" in t.render()
 
 
 def test_false_accept_rate_small_field():
