@@ -53,16 +53,24 @@ class EncMatrix:
 
 
 class SymbolicRing:
-    """Coefficients are exact integer polynomials."""
+    """Coefficients are exact integer polynomials.  Polynomials are immutable,
+    so a ring builds each x_v, 1 and 0 once and hands out the same value."""
+
+    def __init__(self):
+        self._var = {}
+        self._one, self._zero = MPoly.one(), MPoly.zero()
 
     def var(self, v: VarId) -> MPoly:
-        return MPoly.var(v)
+        x = self._var.get(v)
+        if x is None:
+            x = self._var[v] = MPoly.var(v)
+        return x
 
     def zero(self) -> MPoly:
-        return MPoly.zero()
+        return self._zero
 
     def one(self) -> MPoly:
-        return MPoly.one()
+        return self._one
 
     def reduce(self, m: EncMatrix) -> EncMatrix:  # exact, so nothing to reduce
         return m

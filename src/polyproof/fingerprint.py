@@ -36,12 +36,14 @@ for its coefficients: over the field (``encmat.FieldRing``) running path
 sums, O(1) per node on ints; over exact polynomials (``SymbolicRing``),
 where a running sum grows with the path and costs O(depth) per node, the
 closed form term by term: P(u) is a monomial, each node adds its terms to
-the entries' {monomial: coefficient} maps, and no polynomials are multiplied.
+the entries' {monomial: coefficient} dicts, and no polynomials are multiplied.
+Every term it adds is positive, so each dict becomes an MPoly unfiltered.
+An inner node keeps a copy of the tracked-leaf counts for its exit only once
+a tracked leaf has been entered.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -157,36 +159,41 @@ def encode_fingerprint(
     if isinstance(ring, FieldRing):
         return _field_encode(f, alloc, ring, tracked, binding)
     tracked, binding = set(tracked), binding or {}
-    slots, const = alloc.slots, MPoly.const
-    a, b, nodes = Counter(), Counter(), 0  # entries as {monomial: coefficient}; nodes entered
-    leaves = Counter()  # tracked atom t: t-leaves entered so far
-    ha, hb = defaultdict(Counter), defaultdict(Counter)  # t: the a and b entries of t's helper
+    slots, poly = alloc.slots, MPoly._of  # every coefficient below is positive
+    a, b, nodes = {}, {}, 0  # entries as {monomial: coefficient}; nodes entered
+    leaves, no_leaves = {}, {}  # tracked atom t: t-leaves entered so far; the empty counts
+    ha, hb = {}, {}  # t: the a and b entries of t's helper
     stack = [(f, (), None)]  # node, P(parent) as a monomial, edge variable into node
     while stack:
         node, p, edge = stack.pop()
         if node is None:  # leaving the inner node u with P(u) = p; edge: counts on entry
             start, seen = edge
-            b[p] += nodes - start  # |subtree(u)|
+            b[p] = b.get(p, 0) + nodes - start  # |subtree(u)|
             for t, n in leaves.items():
-                hb[t][p] += n - seen.get(t, 0)  # t-leaves below u
+                n -= seen.get(t, 0)  # t-leaves below u
+                if n:
+                    hbt = hb.setdefault(t, {})
+                    hbt[p] = hbt.get(p, 0) + n
             continue
         nodes += 1
         p = p if edge is None else times_var(p, edge)
         node = binding.get(node.root, node)
         root, kids = node.root, node.children
         ids = slots.get(root) or alloc.vid(root)  # vid raises UnallocatedSymbol
-        a[times_var(p, ids[0])] += 1
+        vertex = times_var(p, ids[0])
+        a[vertex] = a.get(vertex, 0) + 1
         if kids:
-            stack.append((None, p, (nodes - 1, dict(leaves))))
+            stack.append((None, p, (nodes - 1, dict(leaves) if leaves else no_leaves)))
             for slot in range(len(kids), 0, -1):
                 stack.append((kids[slot - 1], p, ids[slot]))
             continue
-        b[p] += 1
+        b[p] = b.get(p, 0) + 1
         if root in tracked:
-            ha[root][p] += 1
-            leaves[root] += 1
-    return Fingerprint(EncMatrix(MPoly(a), MPoly(b), const(nodes)), Helpers(ring, (
-        (t, EncMatrix(MPoly(ha[t]), MPoly(hb[t]), const(n))) for t, n in leaves.items()
+            leaves[root] = leaves.get(root, 0) + 1
+            hat = ha.setdefault(root, {})
+            hat[p] = hat.get(p, 0) + 1
+    return Fingerprint(EncMatrix(poly(a), poly(b), poly({(): nodes})), Helpers(ring, (
+        (t, EncMatrix(poly(ha[t]), poly(hb.get(t, {})), poly({(): n}))) for t, n in leaves.items()
     )))
 
 

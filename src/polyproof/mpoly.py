@@ -5,7 +5,11 @@ tuple of (var, exponent) pairs sorted strictly ascending by var with all
 exponents >= 1; the empty tuple is the constant monomial.  A polynomial is
 a map from monomials to nonzero integer coefficients, so two values are
 equal exactly when their term maps are equal and the zero polynomial is
-the empty map.
+the empty map.  ``MPoly(terms)`` drops zero coefficients.  The private
+``MPoly._of(terms)`` skips that filter and owns ``terms``, which must hold
+no zero: the constructors but ``const``, the ring operations (which drop a
+monomial as it cancels) and ``div_exact_by_var`` build through it.  Values
+are immutable, so they may be shared.
 
 Coefficients are Python ints on purpose: repeated sums in the matrix
 encoding grow entries without bound (one entry counts tree nodes), and a
@@ -56,12 +60,19 @@ class MPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, terms: dict) -> "MPoly":
+        """The polynomial owning ``terms``, which must hold no zero coefficient."""
+        poly = object.__new__(cls)
+        poly._terms, poly._hash = terms, None
+        return poly
+
+    @classmethod
     def zero(cls) -> "MPoly":
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls) -> "MPoly":
-        return cls({(): 1})
+        return cls._of({(): 1})
 
     @classmethod
     def const(cls, c: int) -> "MPoly":
@@ -71,7 +82,7 @@ class MPoly:
     def var(cls, v: VarId, exp: int = 1) -> "MPoly":
         if v < 0 or exp < 1:
             raise ValueError("variable ids are >= 0 and exponents >= 1")
-        return cls({((v, exp),): 1})
+        return cls._of({((v, exp),): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -82,30 +93,42 @@ class MPoly:
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
-        return MPoly(terms)
+                del terms[m]
+        return MPoly._of(terms)
 
     def __neg__(self) -> "MPoly":
-        return MPoly({m: -c for m, c in self._terms.items()})
+        return MPoly._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
+        terms = dict(self._terms)
+        for m, c in other._terms.items():
+            s = terms.get(m, 0) - c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        return MPoly._of(terms)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        few, many = self._terms, other._terms
+        if len(few) > len(many):
+            few, many = many, few
+        if len(few) == 1:  # one fixed term: no two products collide or cancel
+            ((m1, c1),) = few.items()
+            if c1 == 1 and len(m1) == 1 and m1[0][1] == 1:
+                v = m1[0][0]
+                return MPoly._of({times_var(m, v): c for m, c in many.items()})
+            return MPoly._of({mono_mul(m1, m): c1 * c for m, c in many.items()})
         terms: dict = {}
-        for m1, c1 in self._terms.items():
-            e1 = dict(m1)
-            for m2, c2 in other._terms.items():
-                merged = dict(e1)
-                for v, e in m2:
-                    merged[v] = merged.get(v, 0) + e
-                mono = tuple(sorted(merged.items()))
+        for m1, c1 in few.items():
+            for m2, c2 in many.items():
+                mono = mono_mul(m1, m2)
                 s = terms.get(mono, 0) + c1 * c2
                 if s:
                     terms[mono] = s
                 else:
-                    terms.pop(mono, None)
-        return MPoly(terms)
+                    del terms[mono]
+        return MPoly._of(terms)
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -163,7 +186,7 @@ class MPoly:
             if not found:
                 raise NotDivisible(f"monomial lacks variable {v}")
             terms[tuple(reduced)] = c
-        return MPoly(terms)
+        return MPoly._of(terms)
 
     def eval(self, assignment: Mapping[VarId, FieldElem], field: PrimeField) -> FieldElem:
         p = field.p
@@ -242,6 +265,26 @@ class MPoly:
             mono = tuple(sorted((v, e) for v, e in exps.items() if e))
             terms[mono] = terms.get(mono, 0) + coeff
         return cls(terms)
+
+
+def mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """The monomial m1 * m2, merged from the two sorted (var, exponent) tuples."""
+    if not (m1 and m2):
+        return m1 or m2
+    out, i, j, n1, n2 = [], 0, 0, len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, v2 = m1[i][0], m2[j][0]
+        if v1 < v2:
+            out.append(m1[i])
+            i += 1
+        elif v2 < v1:
+            out.append(m2[j])
+            j += 1
+        else:
+            out.append((v1, m1[i][1] + m2[j][1]))
+            i += 1
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def times_var(mono: tuple, v: VarId) -> tuple:

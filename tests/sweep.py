@@ -8,10 +8,17 @@ before the change and checks it after:
     python tests/sweep.py --check             # exit 1 if any group differs
     python tests/sweep.py --check --group encode --group keygen
     python tests/sweep.py --show fixture-imp_refl   # the runs as text, to diff two checkouts
+    python tests/sweep.py --verdicts --group swaps  # field against symbolic verdicts
 
 Each run goes through ``cli.main`` in this process.  Proof texts are written
 to a temporary directory, whose path is replaced by ``$DIR`` in every
 argument and output.  ``tests/test_sweep.py`` checks the groups in ``SLICE``.
+
+``--verdicts`` runs each distinct proof of a group's verify runs (its file,
+``--strict`` and ``--tamper-step``; the run's mode and point options dropped)
+once with ``--mode field --seed`` the sweep's seed and once with ``--mode
+symbolic``.  It prints how many agree per group and each run whose two exit
+codes differ, and exits 1 if any differ.
 """
 
 from __future__ import annotations
@@ -160,9 +167,42 @@ GROUPS = {
 
 def run_group(name: str):
     """[argv, exit code, stdout, stderr] per run of the group, paths as ``$DIR``."""
+    return run_all(GROUPS[name]())
+
+
+# A verify run's options that pick its mode or its point, with how many values each takes.
+POINT_OPTIONS = {"--mode": 1, "--seed": 1, "--prime": 1, "--assign": 1, "--repeats": 1,
+                 "--fiat-shamir": 0}
+VERDICT_MODES = (["--mode", "field", "--seed", SEED], ["--mode", "symbolic"])
+
+
+def verdicts(name: str):
+    """[argv, field exit code, symbolic exit code] per distinct proof of the
+    group's verify runs, argv without the mode and point options."""
+    proofs = {}
+    for files, argv in GROUPS[name]():
+        if argv[0] != "verify":
+            continue
+        kept, rest = [], iter(argv)
+        for arg in rest:
+            if arg in POINT_OPTIONS:
+                for _ in range(POINT_OPTIONS[arg]):
+                    next(rest)
+            else:
+                kept.append(arg)
+        stem = Path(argv[1]).stem
+        files = {stem: files[stem]} if stem in files else {}
+        proofs.setdefault(json.dumps([files, kept]), (files, kept))
+    runs = [(files, argv + mode) for files, argv in proofs.values() for mode in VERDICT_MODES]
+    codes = [code for _, code, _, _ in run_all(runs)]
+    return [[argv, *codes[2 * i:2 * i + 2]] for i, (_, argv) in enumerate(proofs.values())]
+
+
+def run_all(runs):
+    """[argv, exit code, stdout, stderr] per (files, argv) run, paths as ``$DIR``."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        for files, argv in GROUPS[name]():
+        for files, argv in runs:
             for stem, text in files.items():
                 Path(tmp, f"{stem}.proof").write_text(text, encoding="utf-8")
             stdout, stderr = io.StringIO(), io.StringIO()
@@ -188,14 +228,26 @@ def cli(argv=None) -> int:
     act.add_argument("--check", action="store_true", help="compare against sweep.json")
     act.add_argument("--show", metavar="GROUP", choices=sorted(GROUPS),
                      help="print one group's runs")
+    act.add_argument("--verdicts", action="store_true",
+                     help="compare field and symbolic verdicts")
     ap.add_argument("--group", action="append", choices=sorted(GROUPS),
-                    help="limit --record or --check to this group (repeatable)")
+                    help="limit --record, --check or --verdicts to this group (repeatable)")
     args = ap.parse_args(argv)
     if args.show:
         for argv_, code, stdout, stderr in run_group(args.show):
             print(f"$ polyproof {' '.join(argv_)}\nexit {code}\n{stdout}--- stderr\n{stderr}")
         return 0
     names = args.group or list(GROUPS)
+    if args.verdicts:
+        differ = 0
+        for name in names:
+            rows = verdicts(name)
+            wrong = [row for row in rows if row[1] != row[2]]
+            differ += len(wrong)
+            print(f"{name}: {len(rows) - len(wrong)} of {len(rows)} agree")
+            for argv_, field, symbolic in wrong:
+                print(f"  field exit {field}, symbolic exit {symbolic}: {' '.join(argv_)}")
+        return 1 if differ else 0
     digests = {}
     for name in names:
         start = time.perf_counter()

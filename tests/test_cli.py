@@ -15,6 +15,7 @@ from polyproof.encmat import EncMatrix, SymbolicRing, product_of
 from polyproof.ffield import MERSENNE61, ZeroInverse
 from polyproof.logic import ParseError, parse_proof
 from polyproof.mpoly import NotDivisible
+from polyproof.mpoly import MPoly
 
 from .conftest import PROOF_DIR, atom_swap_text, benchmark_cases, load_proof_text
 
@@ -785,3 +786,26 @@ def test_strict_check_names_the_axiom_step_it_fails(capsys, monkeypatch, name, m
         assert (code, out) == (2, "")
         assert err == f"error: step {step_no}: template-derived axiom fingerprint disagrees\n"
         assert seen == [steps[n - 1].scheme for n in axiom_steps[:k]]
+
+
+def test_field_runs_do_no_symbolic_arithmetic(capsys, monkeypatch, tmp_path):
+    # steps and growth run field mode only: not one polynomial operation.
+    cases = benchmark_cases()
+    manifest = json.loads((PROOF_DIR.parent / "perfbench" / "manifest.json").read_text())
+    runs = []
+    for workload in ("steps", "growth"):
+        for case in cases.build(workload, manifest["workloads"][workload], 1, PROOF_DIR.parent):
+            path = tmp_path / f"{case.name}.proof"
+            path.write_text(case.text)
+            runs.append((case.argv(str(path)), case.expect))
+    for name in ("contrapose_fn", "imp_refl", "subst_demo", "subst_step"):
+        runs.append((["verify", str(PROOF_DIR / f"{name}.proof"), "--mode", "field",
+                      "--seed", SEED_HEX], 0))
+
+    def refuse(*args):
+        raise AssertionError("a field run did symbolic arithmetic")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "div_exact_by_var"):
+        monkeypatch.setattr(MPoly, name, refuse)
+    assert len(runs) > 80 and all(argv[-2:] == ["--mode", "field"] for argv, _ in runs[:-4])
+    assert [argv for argv, expect in runs if run(capsys, *argv)[0] != expect] == []

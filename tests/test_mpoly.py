@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from polyproof.ffield import PrimeField
 from polyproof.mpoly import MissingAssignment, MPoly, NotDivisible
+from polyproof.mpoly import mono_mul, times_var
 
 X1 = MPoly.var(1)
 X2 = MPoly.var(2)
@@ -178,3 +179,65 @@ def test_parse_reads_ascii_digits_only():
 def test_parse_rejects_unknown_names():
     with pytest.raises(ValueError):
         MPoly.parse("Q + 1")
+
+
+# -- the kernel against a naive term-map reference ---------------------------
+
+def ref_mono(m1, m2):
+    merged = dict(m1)
+    for v, e in m2:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def ref_add(t1, t2, sign=1):
+    out = dict(t1)
+    for m, c in t2.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(t1, t2):
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = ref_mono(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+single_terms = st.builds(lambda c, mono: MPoly({tuple(sorted(mono.items())): c}),
+                         st.integers(-9, 9).filter(bool), monomials)
+bare_vars = st.builds(MPoly.var, st.integers(0, 4))
+cancelled = st.builds(
+    lambda a, v, k: (a - a, a * (MPoly.var(v) - MPoly.var(v)), (-a) + a)[k],
+    polys, st.integers(0, 4), st.integers(0, 2))
+operands = st.one_of(polys, single_terms, bare_vars, cancelled)
+
+
+@given(operands, operands)
+def test_kernel_matches_term_map_reference(a, b):
+    ta, tb = dict(a._terms), dict(b._terms)
+    cases = {"a + b": (a + b, ref_add(ta, tb)), "a - b": (a - b, ref_add(ta, tb, -1)),
+             "-a": (-a, ref_add({}, ta, -1)), "a * b": (a * b, ref_mul(ta, tb)),
+             "b * a": (b * a, ref_mul(tb, ta)),
+             # a product whose cross terms cancel
+             "(a + b) * (a - b)": ((a + b) * (a - b),
+                                   ref_mul(ref_add(ta, tb), ref_add(ta, tb, -1)))}
+    for op, (r, want) in cases.items():
+        assert r._terms == want, op
+        assert 0 not in r._terms.values(), op
+    assert a._terms == ta and b._terms == tb  # the operands are unchanged
+
+
+@given(polys, st.integers(0, 4), st.integers(0, 2))
+def test_cancelled_results_are_the_empty_map(a, v, k):
+    r = (a - a, a * (MPoly.var(v) - MPoly.var(v)), (-a) + a)[k]
+    assert r._terms == {} and r == MPoly.zero() and not r
+
+
+@given(monomials, monomials, st.integers(0, 5))
+def test_monomial_merge_matches_dict_and_sort(e1, e2, v):
+    m1, m2 = tuple(sorted(e1.items())), tuple(sorted(e2.items()))
+    assert mono_mul(m1, m2) == ref_mono(m1, m2) == mono_mul(m2, m1)
+    assert times_var(m1, v) == ref_mono(m1, ((v, 1),))

@@ -26,6 +26,7 @@ from polyproof.logic import (
     step_formulas,
 )
 from polyproof.mpoly import NotDivisible
+from polyproof.mpoly import MPoly
 from polyproof.protocol import (
     Assignment,
     proof_degree_bound,
@@ -455,3 +456,40 @@ def random_small(rng):
     from .conftest import random_formula
 
     return random_formula(rng, 3, atoms=("A",))
+
+
+def _fixture_variants():
+    """Each fixture untampered and at every tamper step."""
+    for name in FIXTURES:
+        script = fixture(name)
+        yield script
+        for step in range(1, len(script.steps) + 1):
+            yield _tamper(script, step)
+
+
+def test_symbolic_ring_constants_survive_every_replay():
+    # A SymbolicRing hands out one x_v, 1 and 0 to every caller, so no
+    # operation may change a polynomial in place.
+    ring, replays = SymbolicRing(), 0
+    for script in _fixture_variants():
+        alloc = VarAllocation(script.signature)
+        for strict in (False, True):
+            try:
+                propagate(script, alloc, ring, script_atoms(script), strict=strict)
+                replays += 1
+            except (NotDivisible, protocol.StrictCheckError):
+                pass
+        assert all(ring.var(v) == MPoly.var(v) for v in range(alloc.size))
+    assert replays >= 2 * len(FIXTURES)  # every untampered replay, at least
+    assert ring.one() == MPoly.one() and ring.zero() == MPoly.zero()
+    assert ring.var(0) is ring.var(0) and ring.one() is ring.one()
+
+
+def test_symbolic_runs_repeat_exactly():
+    for script in _fixture_variants():
+        for strict in (False, True):
+            try:
+                first = verify_symbolic(script, strict=strict)
+            except protocol.StrictCheckError:
+                continue
+            assert verify_symbolic(script, strict=strict) == first
