@@ -38,8 +38,6 @@ where a running sum grows with the path and costs O(depth) per node, the
 closed form term by term: P(u) is a monomial, each node adds its terms to
 the entries' {monomial: coefficient} dicts, and no polynomials are multiplied.
 Every term it adds is positive, so each dict becomes an MPoly unfiltered.
-An inner node keeps a copy of the tracked-leaf counts for its exit only once
-a tracked leaf has been entered.
 """
 
 from __future__ import annotations
@@ -159,9 +157,9 @@ def encode_fingerprint(
     if isinstance(ring, FieldRing):
         return _field_encode(f, alloc, ring, tracked, binding)
     tracked, binding = set(tracked), binding or {}
-    slots, poly = alloc.slots, MPoly._of  # every coefficient below is positive
+    slots, const, poly = alloc.slots, MPoly.const, MPoly._of  # every coefficient below is positive
     a, b, nodes = {}, {}, 0  # entries as {monomial: coefficient}; nodes entered
-    leaves, no_leaves = {}, {}  # tracked atom t: t-leaves entered so far; the empty counts
+    leaves = {}  # tracked atom t: t-leaves entered so far
     ha, hb = {}, {}  # t: the a and b entries of t's helper
     stack = [(f, (), None)]  # node, P(parent) as a monomial, edge variable into node
     while stack:
@@ -183,7 +181,7 @@ def encode_fingerprint(
         vertex = times_var(p, ids[0])
         a[vertex] = a.get(vertex, 0) + 1
         if kids:
-            stack.append((None, p, (nodes - 1, dict(leaves) if leaves else no_leaves)))
+            stack.append((None, p, (nodes - 1, dict(leaves))))
             for slot in range(len(kids), 0, -1):
                 stack.append((kids[slot - 1], p, ids[slot]))
             continue
@@ -192,8 +190,8 @@ def encode_fingerprint(
             leaves[root] = leaves.get(root, 0) + 1
             hat = ha.setdefault(root, {})
             hat[p] = hat.get(p, 0) + 1
-    return Fingerprint(EncMatrix(poly(a), poly(b), poly({(): nodes})), Helpers(ring, (
-        (t, EncMatrix(poly(ha[t]), poly(hb.get(t, {})), poly({(): n}))) for t, n in leaves.items()
+    return Fingerprint(EncMatrix(poly(a), poly(b), const(nodes)), Helpers(ring, (
+        (t, EncMatrix(poly(ha[t]), poly(hb.get(t, {})), const(n))) for t, n in leaves.items()
     )))
 
 

@@ -100,28 +100,12 @@ class MPoly:
         return MPoly._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            s = terms.get(m, 0) - c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-        return MPoly._of(terms)
+        return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        few, many = self._terms, other._terms
-        if len(few) > len(many):
-            few, many = many, few
-        if len(few) == 1:  # one fixed term: no two products collide or cancel
-            ((m1, c1),) = few.items()
-            if c1 == 1 and len(m1) == 1 and m1[0][1] == 1:
-                v = m1[0][0]
-                return MPoly._of({times_var(m, v): c for m, c in many.items()})
-            return MPoly._of({mono_mul(m1, m): c1 * c for m, c in many.items()})
         terms: dict = {}
-        for m1, c1 in few.items():
-            for m2, c2 in many.items():
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
                 mono = mono_mul(m1, m2)
                 s = terms.get(mono, 0) + c1 * c2
                 if s:
