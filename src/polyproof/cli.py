@@ -9,7 +9,6 @@ import argparse
 import functools
 import hashlib
 import sys
-from dataclasses import replace
 from itertools import groupby
 
 from .encmat import EncMatrix, NotAProduct, SymbolicRing, factor_elementary_product
@@ -137,16 +136,16 @@ def _tamper(script: ProofScript, step_no: int) -> ProofScript:
         mv = sorted(step.binding)[0]
         binding = dict(step.binding)
         binding[mv] = neg(binding[mv])
-        new = replace(step, binding=binding)
+        new = step._replace(binding=binding)
     elif isinstance(step, MPStep):
         new = MPStep(step.imp, step.hyp)
     elif isinstance(step, SubstStep) and step.replacement is not None:
-        new = replace(step, replacement=neg(step.replacement))
+        new = step._replace(replacement=neg(step.replacement))
     else:
-        new = replace(step, source=step.replacement_step, replacement_step=step.source)
+        new = step._replace(source=step.replacement_step, replacement_step=step.source)
     steps = list(script.steps)
     steps[step_no - 1] = new
-    return replace(script, steps=tuple(steps))
+    return script._replace(steps=tuple(steps))
 
 
 def cmd_verify(args) -> int:

@@ -1,24 +1,28 @@
 """Upper-triangular 2x2 matrices over a pluggable coefficient ring.
 
-Only the entries (1,1), (1,2) and (2,2) are stored, as ``a``, ``b`` and
-``d``; the (2,1) entry is zero by construction and cannot be falsified.
+Only the entries (1,1), (1,2) and (2,2) are stored, as the named tuple
+``(a, b, d)``; the (2,1) entry is zero by construction and cannot be
+falsified.
 Entries are exact polynomials (``SymbolicRing``) or ints in [0, p), the
 values at one point (``FieldRing``).  For ``fingerprint``'s mp and subst
 each ring builds a result matrix in one call: ``matrix(a, b, d)`` reduces
 the entries, and ``peel(v, a, b, d)`` divides ``a`` and ``b`` by x_v.
-Matrix ``+``, ``-`` and ``*`` do not reduce mod p; the ring's ``reduce`` does.
+Matrix ``+``, ``-`` and ``*`` do not reduce mod p; ``matrix(m.a, m.b, m.d)``
+does.
 
 The elementary matrix of a variable v is A(v) = [[x_v, 1], [0, 1]].
 Products of elementary matrices embed sequences of variables faithfully:
 the sequence can be recovered from the product, which
 ``factor_elementary_product`` does constructively by peeling left factors
-with exact division, one factor per step and without search.
+with exact division, one factor per step and without search.  The package
+only factors such products; the tests build them (``elem``, ``identity`` and
+``product_of`` in ``tests/conftest.py``) as the reference the encoding is
+checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Mapping
+from typing import Any, List, Mapping, NamedTuple
 
 from .ffield import FieldElem, PrimeField, ZeroInverse
 from .mpoly import MPoly, MissingAssignment, NotDivisible, VarId
@@ -28,8 +32,7 @@ class NotAProduct(Exception):
     """The matrix is not a product of elementary matrices."""
 
 
-@dataclass(frozen=True)
-class EncMatrix:
+class EncMatrix(NamedTuple):
     a: Any
     b: Any
     d: Any
@@ -72,9 +75,6 @@ class SymbolicRing:
     def one(self) -> MPoly:
         return self._one
 
-    def reduce(self, m: EncMatrix) -> EncMatrix:  # exact, so nothing to reduce
-        return m
-
     def matrix(self, a: MPoly, b: MPoly, d: MPoly) -> EncMatrix:
         return EncMatrix(a, b, d)
 
@@ -107,9 +107,6 @@ class FieldRing:
     def one(self) -> int:
         return 1
 
-    def reduce(self, m: EncMatrix) -> EncMatrix:
-        return self.matrix(m.a, m.b, m.d)
-
     def matrix(self, a: int, b: int, d: int) -> EncMatrix:
         return EncMatrix(a % self.p, b % self.p, d % self.p)
 
@@ -124,15 +121,6 @@ class FieldRing:
         return EncMatrix(a * inverse % p, b * inverse % p, d % p)
 
 
-def elem(v: VarId, ring) -> EncMatrix:
-    """The elementary matrix A(v) = [[x_v, 1], [0, 1]] over the given ring."""
-    return EncMatrix(ring.var(v), ring.one(), ring.one())
-
-
-def identity(ring) -> EncMatrix:
-    return EncMatrix(ring.one(), ring.zero(), ring.one())
-
-
 def zero_matrix(ring) -> EncMatrix:
     return EncMatrix(ring.zero(), ring.zero(), ring.zero())
 
@@ -145,14 +133,6 @@ def elem_inv_mul(v: VarId, m: EncMatrix, ring) -> EncMatrix:
     exact or raise NotDivisible, which signals a malformed step.
     """
     return ring.peel(v, m.a, m.b - m.d, m.d)
-
-
-def product_of(vars_seq, ring) -> EncMatrix:
-    """A(v1) A(v2) ... A(vn); the identity for the empty sequence."""
-    result = identity(ring)
-    for v in vars_seq:
-        result = result * elem(v, ring)
-    return result
 
 
 def factor_elementary_product(m: EncMatrix) -> List[VarId]:

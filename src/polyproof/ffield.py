@@ -3,10 +3,10 @@
 The field is GF(p) for a configurable prime 3 <= p < 2**63.  The default
 modulus is the Mersenne prime 2**61 - 1, which keeps every product inside
 128-bit intermediates while leaving the collision budget d/p tiny.
-``FieldElem`` holds the values of sampled points, assignment files and
-``MPoly.eval``.  The replay computes on plain ints: ``encmat.FieldRing``
-holds a point's values and reduces mod p, and ``fingerprint``'s field
-walk, modus ponens and substitution do the arithmetic.
+``FieldElem`` holds the values of sampled points and assignment files.  The
+replay computes on plain ints: ``encmat.FieldRing`` holds a point's values
+and reduces mod p, and ``fingerprint``'s field walk, modus ponens and
+substitution do the arithmetic.
 
 Evaluation points are drawn uniformly from [2, p): 0 would make the
 elementary matrices singular and 1 collapses them to unipotent form, so

@@ -42,8 +42,7 @@ Every term it adds is positive, so each dict becomes an MPoly unfiltered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .encmat import EncMatrix, FieldRing, zero_matrix
 from .encmat import elem_inv_mul  # unused; the benchmark's trace counts calls through this name
@@ -133,8 +132,7 @@ class Helpers(dict):
         return zero_matrix(self.ring)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """The encoding of a formula plus the nonzero helpers of tracked symbols."""
 
     main: EncMatrix

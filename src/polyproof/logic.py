@@ -31,8 +31,10 @@ replacement) may sit inside one layer of grouping parentheses: ``alpha = (x)``
 reads as ``alpha = x``.
 Steps are numbered consecutively from 1, in ASCII digits, and may only
 reference earlier steps.  Every ``ParseError`` from ``parse_proof`` names
-its line.  ``replay`` is the only loop over proof steps: ``step_formulas``
-runs it over formulas and ``protocol.propagate`` over fingerprints.
+its line.  The script and its steps are named tuples, never changed in
+place: an edited copy comes from ``_replace``.  ``replay`` is the only loop
+over proof steps: ``step_formulas`` runs it over formulas and
+``protocol.propagate`` over fingerprints.
 ``run_classical`` executes a script purely syntactically and is the
 ground-truth checker the matrix pipeline is tested against.  A ``Formula`` is
 immutable, carries its depth and compares by structure without recursion;
@@ -42,8 +44,7 @@ formulas are unhashable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 IMPLIES = "->"
 NOT = "!"
@@ -362,19 +363,18 @@ def _substitute(f: Formula, mapping: Dict[str, Formula]) -> Formula:
     return done[id(f)]
 
 
-@dataclass(frozen=True)
 class AxiomScheme:
-    name: str
-    metavars: Tuple[str, ...]
-    template: Formula
+    """A named template over its metavariables, with ``leaf_depths``: each
+    symbol's greatest depth in the template, the root's being 1."""
 
-    def __post_init__(self):  # sets leaf_depths: each symbol's greatest depth, the root's being 1
-        depths, stack = {}, [(self.template, 1)]
+    def __init__(self, name: str, metavars: Tuple[str, ...], template: Formula):
+        self.name, self.metavars, self.template = name, metavars, template
+        depths, stack = {}, [(template, 1)]
         while stack:
             node, d = stack.pop()
             stack += [(c, d + 1) for c in node.children]
             depths[node.root] = max(d, depths.get(node.root, 0))
-        object.__setattr__(self, "leaf_depths", depths)
+        self.leaf_depths = depths
 
     def instance_depth(self, binding: Dict[str, Formula]) -> int:
         """The depth of the instance under binding, without building it."""
@@ -410,22 +410,19 @@ def instantiate_axiom(scheme: AxiomScheme, binding: Dict[str, Formula]) -> Formu
 
 # -- proof scripts -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomStep:
+class AxiomStep(NamedTuple):
     scheme: str
     binding: Dict[str, Formula]
     kind = "axiom"
 
 
-@dataclass(frozen=True)
-class MPStep:
+class MPStep(NamedTuple):
     hyp: int
     imp: int
     kind = "mp"
 
 
-@dataclass(frozen=True)
-class SubstStep:
+class SubstStep(NamedTuple):
     source: int
     var: str
     replacement: Optional[Formula] = None
@@ -433,8 +430,7 @@ class SubstStep:
     kind = "subst"
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(NamedTuple):
     name: str
     signature: Signature
     goal: Formula

@@ -9,7 +9,9 @@ the empty map.  ``MPoly(terms)`` drops zero coefficients.  The private
 ``MPoly._of(terms)`` skips that filter and owns ``terms``, which must hold
 no zero: the constructors but ``const``, the ring operations (which drop a
 monomial as it cancels) and ``div_exact_by_var`` build through it.  Values
-are immutable, so they may be shared.
+are immutable, so they may be shared.  The module imports nothing from the
+package: the field replay computes on ints, so evaluating a polynomial at a
+point and its total degree are the tests' oracles (``tests/conftest.py``).
 
 Coefficients are Python ints on purpose: repeated sums in the matrix
 encoding grow entries without bound (one entry counts tree nodes), and a
@@ -32,8 +34,6 @@ from __future__ import annotations
 
 import re
 from typing import Mapping, Optional
-
-from .ffield import FieldElem, PrimeField
 
 VarId = int
 
@@ -132,25 +132,11 @@ class MPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e for _, e in m) for m in self._terms)
-
     def single_monomial(self):
         """(monomial, coefficient) when the polynomial has one term, else None."""
         if len(self._terms) != 1:
             return None
         return next(iter(self._terms.items()))
-
-    def constant_value(self) -> Optional[int]:
-        """Integer value when the polynomial is constant, else None."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
-        return None
 
     # -- the operations the matrix layer builds on --------------------------
 
@@ -171,18 +157,6 @@ class MPoly:
                 raise NotDivisible(f"monomial lacks variable {v}")
             terms[tuple(reduced)] = c
         return MPoly._of(terms)
-
-    def eval(self, assignment: Mapping[VarId, FieldElem], field: PrimeField) -> FieldElem:
-        p = field.p
-        total = 0
-        for m, c in self._terms.items():
-            acc = c % p
-            for v, e in m:
-                if v not in assignment:
-                    raise MissingAssignment(v)
-                acc = acc * pow(assignment[v].value, e, p) % p
-            total = (total + acc) % p
-        return field.elem(total)
 
     # -- text form -----------------------------------------------------------
 

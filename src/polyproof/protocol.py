@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .encmat import EncMatrix, FieldRing, SymbolicRing
 from .ffield import FieldElem, PointSampler, PrimeField
@@ -64,8 +63,7 @@ class StrictCheckError(Exception):
     """Direct and template-derived axiom fingerprints disagree."""
 
 
-@dataclass
-class Assignment:
+class Assignment(NamedTuple):
     """Field values for every allocated polynomial variable.
 
     Values are always in [2, p): 0 would make elementary matrices
@@ -134,15 +132,13 @@ class Assignment:
         return FieldRing(self.field, self.values)
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     index: int
     kind: str
     fingerprint: Fingerprint
 
 
-@dataclass
-class Run:
+class Run(NamedTuple):
     """One replay of the script at one field point or over exact polynomials;
     a replay broken off by a failed exact division names its failure."""
 
@@ -160,8 +156,7 @@ class Run:
         return "accept" if self.accepted else "reject"
 
 
-@dataclass
-class Transcript:
+class Transcript(NamedTuple):
     proof_name: str
     field: PrimeField
     provenance: str

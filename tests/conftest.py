@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from polyproof.encmat import EncMatrix
 from polyproof.logic import Formula, Signature, atom, imp, neg, parse_proof, step_formulas
+from polyproof.mpoly import MissingAssignment
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -37,6 +39,50 @@ def benchmark_cases():
 def benchmark_layers():
     """The benchmark's layer trace, ``perfbench/layers.py``."""
     return _benchmark_module("layers")
+
+
+# -- reference oracles: the package never evaluates a polynomial or multiplies
+# elementary matrices, so the tests keep these to check it against.
+
+def poly_eval(poly, assignment, field):
+    """The polynomial's value at the point ``assignment`` ({var: FieldElem})."""
+    p = field.p
+    total = 0
+    for m, c in poly._terms.items():
+        acc = c % p
+        for v, e in m:
+            if v not in assignment:
+                raise MissingAssignment(v)
+            acc = acc * pow(assignment[v].value, e, p) % p
+        total = (total + acc) % p
+    return field.elem(total)
+
+
+def matrix_eval(m: EncMatrix, assignment, field) -> EncMatrix:
+    """A symbolic matrix evaluated entrywise at the point, as ints in [0, p)."""
+    return EncMatrix(*(poly_eval(e, assignment, field).value for e in m))
+
+
+def poly_degree(poly) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((sum(e for _, e in m) for m in poly._terms), default=-1)
+
+
+def elem(v, ring) -> EncMatrix:
+    """The elementary matrix A(v) = [[x_v, 1], [0, 1]] over the given ring."""
+    return EncMatrix(ring.var(v), ring.one(), ring.one())
+
+
+def identity(ring) -> EncMatrix:
+    return EncMatrix(ring.one(), ring.zero(), ring.one())
+
+
+def product_of(vars_seq, ring) -> EncMatrix:
+    """A(v1) A(v2) ... A(vn); the identity for the empty sequence."""
+    result = identity(ring)
+    for v in vars_seq:
+        result = result * elem(v, ring)
+    return result
 
 
 def degree_bound(*formulas: Formula) -> int:

@@ -7,10 +7,9 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 
-from polyproof.encmat import FieldRing, SymbolicRing, factor_elementary_product, product_of
+from polyproof.encmat import FieldRing, SymbolicRing, factor_elementary_product
 from polyproof.ffield import MERSENNE61, PrimeField
 from polyproof.fingerprint import (
     VarAllocation,
@@ -31,6 +30,7 @@ from polyproof.logic import (
     run_classical,
     subst_syntactic,
 )
+from polyproof.mpoly import MPoly
 from polyproof.protocol import verify, verify_symbolic
 
 from .conftest import (
@@ -39,6 +39,8 @@ from .conftest import (
     load_proof_text,
     node_count,
     occurrences,
+    poly_degree,
+    product_of,
     random_formula,
 )
 
@@ -291,17 +293,16 @@ def corrupt_one_step(script, rng):
         mv = rng.choice(sorted(step.binding))
         binding = dict(step.binding)
         binding[mv] = random_formula(rng, 3, atoms=("A",))
-        steps[step_no - 1] = replace(step, binding=binding)
+        steps[step_no - 1] = step._replace(binding=binding)
     else:
         if rng.random() < 0.5:
-            steps[step_no - 1] = replace(step, hyp=step.imp, imp=step.hyp)
+            steps[step_no - 1] = step._replace(hyp=step.imp, imp=step.hyp)
         else:
-            steps[step_no - 1] = replace(
-                step,
+            steps[step_no - 1] = step._replace(
                 hyp=rng.randrange(1, step_no),
                 imp=rng.randrange(1, step_no),
             )
-    return replace(script, steps=tuple(steps))
+    return script._replace(steps=tuple(steps))
 
 
 def test_criterion_8_structural_invariants():
@@ -312,12 +313,12 @@ def test_criterion_8_structural_invariants():
         for _ in range(10_000):
             f = random_formula(rng, 6)
             fp = encode_fingerprint(f, alloc, RING, tracked)
-            assert fp.main.d.constant_value() == node_count(f)
+            assert fp.main.d == MPoly.const(node_count(f))
             bound = degree_bound(f)
-            assert fp.main.a.degree() <= bound
-            assert fp.main.b.degree() <= bound
+            assert poly_degree(fp.main.a) <= bound
+            assert poly_degree(fp.main.b) <= bound
             for t in tracked:
                 helper = fp.helpers[t]
-                assert helper.d.constant_value() == occurrences(f, t)
-                assert helper.a.degree() <= bound
-                assert helper.b.degree() <= bound
+                assert helper.d == MPoly.const(occurrences(f, t))
+                assert poly_degree(helper.a) <= bound
+                assert poly_degree(helper.b) <= bound

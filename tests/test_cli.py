@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import time
 
@@ -11,13 +12,20 @@ from hypothesis import strategies as st
 
 from polyproof import cli, logic, protocol
 from polyproof.cli import main
-from polyproof.encmat import EncMatrix, SymbolicRing, product_of
+from polyproof.encmat import EncMatrix, SymbolicRing
 from polyproof.ffield import MERSENNE61, ZeroInverse
 from polyproof.logic import ParseError, parse_proof
 from polyproof.mpoly import NotDivisible
 from polyproof.mpoly import MPoly
 
-from .conftest import PROOF_DIR, atom_swap_text, benchmark_cases, load_proof_text
+from .conftest import (
+    PROOF_DIR,
+    atom_swap_text,
+    benchmark_cases,
+    load_proof_text,
+    product_of,
+    random_formula,
+)
 
 IMP_REFL = str(PROOF_DIR / "imp_refl.proof")
 SEED_HEX = "01" * 32
@@ -684,6 +692,55 @@ def test_factor_fuzz_exits_by_contract(tmp_path_factory, seq, key, data):
         code = main(["factor", str(mat)])
     assert code in (0, 1, 2)
     assert code == 0 or err.getvalue().startswith(("NotAProduct: ", "error: "))
+
+
+def _seeded_edit(rng, text, edits, alphabet="0123456789()!->{},=#\" \nxyzfKSN"):
+    """The text after the given number of single-character edits, drawn from rng."""
+    for _ in range(edits):
+        at, ch = rng.randint(0, len(text)), rng.choice(alphabet)
+        text = text[:at] + rng.choice((ch, ch + text[at:at + 1], "")) + text[at + 1:]
+    return text
+
+
+def _exits_by_contract(argv):
+    """main(argv) exits 0, 1 or 2, and an exit 2 prints an error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert code != 2 or re.search("^(internal )?error: ", err.getvalue(), re.M), argv
+    return code
+
+
+def test_assign_and_encode_seeded_fuzz_exits_by_contract(tmp_path):
+    # Edited fixture proofs under verify --assign with the fixture's keygen
+    # file at p = 101, the fixture under an edited keygen file, and short
+    # formulas, edited, under encode --assign and encode --seed 0a --prime 101.
+    # A formula that starts with "-" reads as an option, so it is left to
+    # argparse and out of this sweep.
+    rng = random.Random(25)
+    proof, point = tmp_path / "f.proof", tmp_path / "point.assign"
+    modes = ([], ["--mode", "field"], ["--mode", "field", "--strict"])
+    for name in _FIXTURES:
+        fixture, keys = str(PROOF_DIR / f"{name}.proof"), tmp_path / f"{name}.assign"
+        assert _exits_by_contract(["keygen", fixture, "--prime", "101", "--seed", "ab",
+                                   "-o", str(keys)]) == 0
+        for _ in range(100):
+            proof.write_text(_seeded_edit(rng, load_proof_text(name), rng.randint(1, 3)))
+            _exits_by_contract(["verify", str(proof), "--assign", str(keys), *rng.choice(modes)])
+            point.write_text(_seeded_edit(rng, keys.read_text(), rng.randint(1, 3)))
+            _exits_by_contract(["verify", fixture, "--assign", str(point), *rng.choice(modes)])
+    for _ in range(300):
+        formula = str(random_formula(rng, 4))
+        proof.write_text(f'proof "f"\ngoal {formula}\n'
+                         f"1 axiom K {{ alpha = {formula}, beta = {formula} }}\nqed 1\n")
+        assert _exits_by_contract(["keygen", str(proof), "--prime", "101", "--seed", "ab",
+                                   "-o", str(point)]) == 0
+        edited = _seeded_edit(rng, formula, rng.randint(0, 2))
+        if edited.startswith("-"):
+            continue
+        _exits_by_contract(["encode", edited, "--assign", str(point)])
+        _exits_by_contract(["encode", edited, "--seed", "0a", "--prime", "101"])
 
 
 def output_digest(*runs):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -10,14 +9,13 @@ from polyproof.encmat import (
     FieldRing,
     NotAProduct,
     SymbolicRing,
-    elem,
     elem_inv_mul,
     factor_elementary_product,
-    identity,
-    product_of,
 )
 from polyproof.ffield import PrimeField
 from polyproof.mpoly import MPoly, NotDivisible
+
+from .conftest import elem, identity, matrix_eval, product_of
 
 RING = SymbolicRing()
 
@@ -52,14 +50,16 @@ def test_mul_non_commutative():
 
 def test_mul_field_values():
     ring = field_ring(v0=7, v1=2)
-    m = ring.reduce(elem(0, ring) * elem(1, ring))
+    m = elem(0, ring) * elem(1, ring)
+    m = ring.matrix(m.a, m.b, m.d)
     assert (m.a, m.b, m.d) == (14, 8, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_all_ones_product_counts_factors(n):
     ring = field_ring(p=101, **{f"v{i}": 1 for i in range(n)})
-    m = ring.reduce(product_of(range(n), ring))
+    m = product_of(range(n), ring)
+    m = ring.matrix(m.a, m.b, m.d)
     assert (m.a, m.b, m.d) == (1, n, 1)
 
 
@@ -116,7 +116,7 @@ def test_factor_is_sound_on_one_term_perturbations():
         mono = {v: rng.randint(1, 2) for v in rng.sample(range(4), rng.randint(0, 3))}
         term = MPoly({tuple(sorted(mono.items())): rng.choice([-1, 1])})
         key = rng.choice("abd")
-        changed = replace(m, **{key: getattr(m, key) + term})
+        changed = m._replace(**{key: getattr(m, key) + term})
         try:
             seq = factor_elementary_product(changed)
         except NotAProduct:
@@ -147,11 +147,8 @@ def test_eval_commutes_with_matrix_ops(s1, s2, salt):
     f = PrimeField(101)
     values = {v: f.elem(rng.randrange(2, 101)) for v in range(5)}
     fring = FieldRing(f, values)
-
-    def ev(m):
-        return EncMatrix(*(e.eval(values, f).value for e in (m.a, m.b, m.d)))
-
     m1, m2 = product_of(s1, RING), product_of(s2, RING)
     fm1, fm2 = product_of(s1, fring), product_of(s2, fring)
-    assert ev(m1 + m2) == fring.reduce(fm1 + fm2)
-    assert ev(m1 * m2) == fring.reduce(fm1 * fm2)
+    total, product = fm1 + fm2, fm1 * fm2
+    assert matrix_eval(m1 + m2, values, f) == fring.matrix(total.a, total.b, total.d)
+    assert matrix_eval(m1 * m2, values, f) == fring.matrix(product.a, product.b, product.d)

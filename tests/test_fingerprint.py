@@ -10,10 +10,7 @@ from polyproof.encmat import (
     EncMatrix,
     FieldRing,
     SymbolicRing,
-    elem,
     elem_inv_mul,
-    identity,
-    product_of,
     zero_matrix,
 )
 from polyproof.ffield import PrimeField
@@ -37,9 +34,18 @@ from polyproof.logic import (
     parse_formula,
     subst_syntactic,
 )
-from polyproof.mpoly import MissingAssignment, NotDivisible
+from polyproof.mpoly import MissingAssignment, MPoly, NotDivisible
 
-from .conftest import degree_bound, node_count, occurrences
+from .conftest import (
+    degree_bound,
+    elem,
+    identity,
+    matrix_eval,
+    node_count,
+    occurrences,
+    poly_degree,
+    product_of,
+)
 
 RING = SymbolicRing()
 
@@ -384,14 +390,10 @@ def test_eval_commutes_with_fingerprint(f, salt):
     field = PrimeField(101)
     values = {v: field.elem(rng.randrange(2, 101)) for v in range(alloc.size)}
     fring = FieldRing(field, values)
-
-    def ev(m):
-        return EncMatrix(*(e.eval(values, field).value for e in (m.a, m.b, m.d)))
-
     sym = fp_of(f, alloc)
     nat = fp_of(f, alloc, ring=fring)
-    assert ev(sym.main) == nat.main
-    assert all(ev(sym.helpers[t]) == nat.helpers[t] for t in sym.helpers)
+    assert matrix_eval(sym.main, values, field) == nat.main
+    assert all(matrix_eval(sym.helpers[t], values, field) == nat.helpers[t] for t in sym.helpers)
 
 
 @settings(max_examples=80)
@@ -399,12 +401,12 @@ def test_eval_commutes_with_fingerprint(f, salt):
 def test_node_count_and_degree_laws(f):
     _, alloc = make_alloc()
     fp = fp_of(f, alloc)
-    assert fp.main.d.constant_value() == node_count(f)
+    assert fp.main.d == MPoly.const(node_count(f))
     bound = degree_bound(f)
-    assert max(fp.main.a.degree(), fp.main.b.degree(), fp.main.d.degree()) <= bound
+    assert max(poly_degree(fp.main.a), poly_degree(fp.main.b), poly_degree(fp.main.d)) <= bound
     for t in ("x", "y", "z"):
-        assert fp.helpers[t].d.constant_value() == occurrences(f, t)
-        assert fp.helpers[t].a.degree() <= bound
+        assert fp.helpers[t].d == MPoly.const(occurrences(f, t))
+        assert poly_degree(fp.helpers[t].a) <= bound
 
 
 def enumerate_formulas(n, atoms=("x", "y")):
@@ -497,11 +499,13 @@ def reference_hom_subst(fp_src, var, fp_repl, alloc, ring):
     """hom_subst as matrix products over either ring: (main, nonzero helpers)."""
     leaf = elem(alloc.vid(var, 0), ring)
     hv = fp_src.helpers[var]
-    main = ring.reduce(fp_src.main - hv * leaf + hv * fp_repl.main)
+    main = fp_src.main - hv * leaf + hv * fp_repl.main
+    main = ring.matrix(main.a, main.b, main.d)
     helpers = {}
     for x in fp_src.helpers.keys() | fp_repl.helpers.keys():
         graft = hv * fp_repl.helpers[x]
-        helpers[x] = ring.reduce(graft if x == var else fp_src.helpers[x] + graft)
+        m = graft if x == var else fp_src.helpers[x] + graft
+        helpers[x] = ring.matrix(m.a, m.b, m.d)
     return main, _nonzero(helpers, ring)
 
 
@@ -539,8 +543,8 @@ def test_closed_form_encoding_matches_matrix_products(f, tracked, prime, salt):
         fp = encode_fingerprint(g, alloc, ring, tracked)
         main, helpers = reference_encode_fingerprint(g, alloc, ring, tracked)
         # raw matrix arithmetic over the field ring does not reduce mod p
-        assert fp.main == ring.reduce(main)
-        assert all(fp.helpers[t] == ring.reduce(helpers[t]) for t in tracked)
+        assert fp.main == ring.matrix(main.a, main.b, main.d)
+        assert all(fp.helpers[t] == ring.matrix(h.a, h.b, h.d) for t, h in helpers.items())
         assert set(fp.helpers) <= tracked
         assert all(m != zero_matrix(ring) for m in fp.helpers.values())
 
@@ -553,7 +557,7 @@ def test_encoding_depth_costs_no_stack():
     field = PrimeField((1 << 61) - 1)
     fring = FieldRing(field, {v: field.elem(v + 2) for v in range(alloc.size)})
     sym = encode_fingerprint(deep, alloc, RING, ("x", "y"))
-    assert sym.main.d.constant_value() == 5001 and sym.helpers["x"].d.constant_value() == 1
+    assert sym.main.d == MPoly.const(5001) and sym.helpers["x"].d == MPoly.const(1)
     nat = encode_fingerprint(deep, alloc, fring, ("x", "y"))
     assert nat.main.d == 5001 and nat.helpers["x"].d == 1
     assert sym.helpers["y"] == zero_matrix(RING) and nat.helpers["y"] == zero_matrix(fring)
@@ -568,11 +572,9 @@ ATOMS = ("x", "y", "z", "w", "alpha", "beta")
 def at_point(fp, values, field):
     """A symbolic fingerprint evaluated at a point: (main, the helpers that do not
     vanish there)."""
-    def ev(m):
-        return EncMatrix(*(e.eval(values, field).value for e in (m.a, m.b, m.d)))
-
-    at = {x: ev(m) for x, m in fp.helpers.items()}
-    return ev(fp.main), {x: m for x, m in at.items() if m != EncMatrix(0, 0, 0)}
+    at = {x: matrix_eval(m, values, field) for x, m in fp.helpers.items()}
+    return matrix_eval(fp.main, values, field), {
+        x: m for x, m in at.items() if m != EncMatrix(0, 0, 0)}
 
 
 @settings(max_examples=120)
@@ -687,5 +689,5 @@ def test_symbolic_walk_multiplies_no_polynomials(monkeypatch):
     fp = encode_fingerprint(scheme.template, alloc, RING, ("x", "y", "z"),
                             dict(zip(scheme.metavars, (deep, tree))))
     assert fp == encode_fingerprint(imp(deep, imp(tree, deep)), alloc, RING, ("x", "y", "z"))
-    assert fp.main.d.constant_value() == 2 + 2 * 5001 + 511
-    assert [fp.helpers[t].d.constant_value() for t in "xyz"] == [130, 64, 64]
+    assert fp.main.d == MPoly.const(2 + 2 * 5001 + 511)
+    assert [fp.helpers[t].d for t in "xyz"] == [MPoly.const(n) for n in (130, 64, 64)]

@@ -2,7 +2,6 @@ import copy
 import pickle
 import re
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -479,7 +478,7 @@ def test_mp_and_goal_checks_on_equal_dags_built_apart():
     derived = step_formulas(script)
     assert derived[14].root == "->" and derived[14].children[0] is derived[11]
     goal = step_formulas(parse_proof(text))[14]
-    assert run_classical(replace(script, goal=goal)) == goal
+    assert run_classical(script._replace(goal=goal)) == goal
 
 
 def test_mismatch_messages_quote_large_formulas_briefly():
@@ -490,7 +489,7 @@ def test_mismatch_messages_quote_large_formulas_briefly():
     goal = r"goal was \(y -> \(y -> y\)\)$"
     with pytest.raises(GoalMismatch, match=r"^proved \(.{199}\.\.\., " + goal):
         run_classical(script)
-    wrong_mp = replace(script, steps=script.steps + (MPStep(6, 6),), qed=16)
+    wrong_mp = script._replace(steps=script.steps + (MPStep(6, 6),), qed=16)
     with pytest.raises(MPShapeMismatch, match=r"^step 16: \(.{199}\.\.\. does not follow from"):
         run_classical(wrong_mp)
     assert time.perf_counter() - start < 2

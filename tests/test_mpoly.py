@@ -6,6 +6,8 @@ from polyproof.ffield import PrimeField
 from polyproof.mpoly import MissingAssignment, MPoly, NotDivisible
 from polyproof.mpoly import mono_mul, times_var
 
+from .conftest import poly_degree, poly_eval
+
 X1 = MPoly.var(1)
 X2 = MPoly.var(2)
 
@@ -86,39 +88,39 @@ def test_div_mul_roundtrip(a, v):
 
 def test_eval_linear():
     f = PrimeField(101)
-    assert (X1 + MPoly.one()).eval({1: f.elem(2)}, f).value == 3
+    assert poly_eval(X1 + MPoly.one(), {1: f.elem(2)}, f).value == 3
 
 
 def test_eval_product():
     f = PrimeField(101)
-    assert (X1 * X2).eval({1: f.elem(7), 2: f.elem(11)}, f).value == 77
+    assert poly_eval(X1 * X2, {1: f.elem(7), 2: f.elem(11)}, f).value == 77
 
 
 def test_eval_square_minus_one():
     # 10**2 - 1 = 99 mod 101
     f = PrimeField(101)
-    assert (X1 * X1 - MPoly.one()).eval({1: f.elem(10)}, f).value == 99
+    assert poly_eval(X1 * X1 - MPoly.one(), {1: f.elem(10)}, f).value == 99
 
 
 def test_eval_missing_assignment():
     f = PrimeField(101)
     with pytest.raises(MissingAssignment):
-        (X1 + X2).eval({1: f.elem(3)}, f)
+        poly_eval(X1 + X2, {1: f.elem(3)}, f)
 
 
 @given(polys, polys, st.lists(st.integers(0, 100), min_size=5, max_size=5))
 def test_eval_is_homomorphism(a, b, point):
     f = PrimeField(101)
     asg = {v: f.elem(val) for v, val in enumerate(point)}
-    lhs = (a * b + a).eval(asg, f)
-    rhs = a.eval(asg, f) * b.eval(asg, f) + a.eval(asg, f)
+    lhs = poly_eval(a * b + a, asg, f)
+    rhs = poly_eval(a, asg, f) * poly_eval(b, asg, f) + poly_eval(a, asg, f)
     assert lhs == rhs
 
 
 def test_degree():
-    assert (MPoly.var(1, 2) * X2 + MPoly.var(3)).degree() == 3
-    assert MPoly.const(5).degree() == 0
-    assert MPoly.zero().degree() == -1
+    assert poly_degree(MPoly.var(1, 2) * X2 + MPoly.var(3)) == 3
+    assert poly_degree(MPoly.const(5)) == 0
+    assert poly_degree(MPoly.zero()) == -1
 
 
 def test_render_ordering():

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,6 +45,7 @@ from .conftest import (
     benchmark_cases,
     degree_bound,
     load_proof_text,
+    matrix_eval,
 )
 
 M61 = PrimeField(MERSENNE61)
@@ -61,8 +61,8 @@ def corrupt_binding(script, step_no, mv, formula):
     binding = dict(step.binding)
     binding[mv] = formula
     steps = list(script.steps)
-    steps[step_no - 1] = replace(step, binding=binding)
-    return replace(script, steps=tuple(steps))
+    steps[step_no - 1] = step._replace(binding=binding)
+    return script._replace(steps=tuple(steps))
 
 
 def test_accepts_fixture_all_modes():
@@ -175,7 +175,7 @@ def symbolic_prefix(script, alloc, tracked):
     """The exact replay's records, up to its first failed exact division."""
     for k in range(len(script.steps), 0, -1):
         try:
-            prefix = replace(script, steps=script.steps[:k])
+            prefix = script._replace(steps=script.steps[:k])
             return propagate(prefix, alloc, SymbolicRing(), tracked)[0]
         except NotDivisible:
             continue
@@ -196,19 +196,17 @@ def test_field_steps_are_symbolic_steps_evaluated(name, prime):
         for script in [base] + [_tamper(base, k) for k in range(1, len(base.steps) + 1)]:
             alloc = VarAllocation(script.signature)
             point = Assignment.from_seed(SEED1, field, alloc)
-
-            def ev(m):
-                return EncMatrix(*(e.eval(point.values, field).value for e in (m.a, m.b, m.d)))
-
             for tracked in (tracked_atoms(script), script_atoms(script)):
                 records, _ = propagate(script, alloc, point.ring(), tracked)
                 for rec, sym in zip(records, symbolic_prefix(script, alloc, tracked)):
                     fp, exact = rec.fingerprint, sym.fingerprint
-                    assert fp.main == ev(exact.main), (rec.index, script)
+                    assert fp.main == matrix_eval(exact.main, point.values, field), (
+                        rec.index, script)
                     assert EncMatrix(0, 0, 0) not in fp.helpers.values(), (rec.index, script)
                     assert zero_matrix(SymbolicRing()) not in exact.helpers.values()
                     for t in fp.helpers.keys() | exact.helpers.keys():
-                        assert fp.helpers[t] == ev(exact.helpers[t]), (rec.index, t, script)
+                        exact_t = matrix_eval(exact.helpers[t], point.values, field)
+                        assert fp.helpers[t] == exact_t, (rec.index, t, script)
 
 
 def homomorphism_scripts():
@@ -264,8 +262,8 @@ def test_propagate_builds_no_axiom_instance(name, monkeypatch):
 def test_propagate_missing_binding_raises():
     script = fixture("imp_refl")
     step = script.steps[0]
-    broken = replace(script, steps=(replace(step, binding={"alpha": step.binding["alpha"]}),)
-                     + script.steps[1:])
+    broken = script._replace(steps=(step._replace(binding={"alpha": step.binding["alpha"]}),)
+                             + script.steps[1:])
     alloc = VarAllocation(script.signature)
     with pytest.raises(MissingBinding, match="axiom K needs beta"):
         propagate(broken, alloc, SymbolicRing(), script_atoms(script))
@@ -290,7 +288,7 @@ def test_swapped_mp_rejected_symbolically():
     script = fixture("imp_refl")
     steps = list(script.steps)
     steps[2] = MPStep(2, 1)
-    script = replace(script, steps=tuple(steps))
+    script = script._replace(steps=tuple(steps))
     report = verify_symbolic(script)
     assert not report.accepted
 
