@@ -26,7 +26,7 @@ from .logic import (
     parse_proof,
 )
 from .mpoly import MissingAssignment, MPoly
-from .protocol import Assignment, StrictCheckError, prove, verify, verify_symbolic
+from .protocol import Assignment, prove, verify, verify_symbolic
 
 SYMBOLIC_SIZE_LIMIT = 10 * 1024  # above this, default verify mode drops to field-only
 
@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
 
     symbolic_report = None
     if mode in ("symbolic", "both"):
-        symbolic_report = verify_symbolic(script, strict=args.strict)
+        symbolic_report = verify_symbolic(script)
 
     transcript = None
     if mode in ("field", "both"):
@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
             if point_flags:
                 raise ValueError("--assign fixes one point: drop --seed, --fiat-shamir, --repeats")
             assignment = _load_assignment(args, VarAllocation(script.signature))
-            transcript = prove(script, assignment, strict=args.strict)
+            transcript = prove(script, assignment)
         else:
             field = PrimeField(args.prime if args.prime is not None else MERSENNE61)
             if args.fiat_shamir:
@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
                 seed = _parse_seed(args.seed)
             else:
                 raise ValueError("field mode needs --seed, --assign or --fiat-shamir")
-            transcript = verify(script, seed, args.repeats, field, strict=args.strict)
+            transcript = verify(script, seed, args.repeats, field)
 
     if transcript is not None:
         sys.stdout.write(transcript.render())
@@ -267,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--assign", help="assignment file path")
     ver.add_argument("--repeats", type=_ascii_int, default=1)
     ver.add_argument("--mode", choices=("field", "symbolic", "both"), default=None)
-    ver.add_argument("--strict", action="store_true",
-                     help="cross-check axiom fingerprints against the template route")
     ver.add_argument("--fiat-shamir", action="store_true",
                      help="derive the seed from the proof text and the prime (no "
                           "non-interactive security claim)")
@@ -298,15 +296,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (
-        ParseError,
-        StrictCheckError,
-        ValueError,
-        OSError,
-        RecursionError,
-        ArithmeticError,  # NotDivisible, ZeroInverse
-        MemoryError,
-    ) as exc:
+    except (ParseError, ValueError, OSError, RecursionError, MemoryError,
+            ArithmeticError) as exc:  # ArithmeticError: NotDivisible, ZeroInverse
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,8 +63,8 @@ class VarAllocation:
     The builtin connectives get fixed ids: the implication slots are 0, 1,
     2 and the negation slots are 3, 4.  Remaining signature symbols are
     sorted by name and take consecutive ids from 5, slot by slot.  The
-    axiom metavariables are appended at the end so that instantiating an
-    axiom homomorphically from its template needs no extra bookkeeping.
+    axiom metavariables come last: no run reads them, only the tests'
+    template oracle, and keygen's assignment files keep them.
 
     Display names (used in assignment files and rendered polynomials)
     uppercase the symbol name where that stays unambiguous and fall back
@@ -291,19 +291,3 @@ def _field_encode(f, alloc, ring, tracked, binding) -> Fingerprint:
         ring.no_helpers = Helpers(ring, ())
     return Fingerprint(main, ring.no_helpers)
 
-
-def axiom_fingerprint_via_template(
-    scheme, binding: Dict[str, Formula], alloc: VarAllocation, ring, tracked: Iterable[str]
-) -> Fingerprint:
-    """Instantiate an axiom homomorphically from its template fingerprint.
-
-    Encodes the template over its metavariables, then substitutes each
-    binding, encoded over the tracked atoms, with hom_subst.  Must agree
-    with the direct encoding; the strict verification mode cross-checks the
-    two on every axiom step.
-    """
-    fp = encode_fingerprint(scheme.template, alloc, ring, scheme.metavars)
-    for mv in scheme.metavars:
-        repl = encode_fingerprint(binding[mv], alloc, ring, tracked)
-        fp = hom_subst(fp, mv, repl, alloc, ring)
-    return fp

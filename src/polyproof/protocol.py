@@ -5,8 +5,10 @@ A proof script is replayed twice over the same random point of the field:
   * alpha1 is the evaluated encoding of the declared goal, computed
     directly from the goal formula;
   * alpha2 is the script replayed by ``logic.replay`` over fingerprints:
-    the axioms' fingerprints, then the homomorphic modus-ponens and
-    substitution operators, never looking at the formulas in between.
+    the axioms' fingerprints, the only values computed from scratch (one
+    walk of the scheme's template, each metavariable read as its binding),
+    then the homomorphic modus-ponens and substitution operators, never
+    looking at the formulas in between.
 
 The run accepts exactly when alpha1 == alpha2.  When a wrong proof
 propagates to a matrix other than the goal's, it is accepted only if the
@@ -30,16 +32,15 @@ reject some malformed mp steps the main matrix lets through.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
-from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .encmat import EncMatrix, FieldRing, SymbolicRing
 from .ffield import FieldElem, PointSampler, PrimeField
 from .fingerprint import (
     Fingerprint,
     VarAllocation,
-    axiom_fingerprint_via_template,
     encode,
     encode_fingerprint,
     hom_mp,
@@ -57,10 +58,6 @@ from .logic import (
 from .mpoly import MissingAssignment, NotDivisible, VarId
 
 _ASSIGNMENT_LINE = re.compile(r"(\S+)\s*=\s*([0-9]+)")
-
-
-class StrictCheckError(Exception):
-    """Direct and template-derived axiom fingerprints disagree."""
 
 
 class Assignment(NamedTuple):
@@ -162,7 +159,6 @@ class Transcript(NamedTuple):
     provenance: str
     repeats: int
     d_bound: int
-    epsilon: Fraction
     runs: List[Run]
     tracked: List[str]  # each step line prints their helpers, a missing one as zero
 
@@ -170,11 +166,24 @@ class Transcript(NamedTuple):
     def verdict(self) -> str:
         return "accept" if all(run.accepted for run in self.runs) else "reject"
 
+    @property
+    def epsilon(self) -> Tuple[int, int]:
+        """min(1, d / (p - 2)) ** repeats as (numerator, denominator), in lowest terms."""
+        a, b = self._epsilon_base()
+        return a ** self.repeats, b ** self.repeats
+
+    def _epsilon_base(self) -> Tuple[int, int]:
+        q = self.field.p - 2
+        d = min(self.d_bound, q)
+        g = math.gcd(d, q)  # a reduced fraction's powers are reduced too
+        return d // g, q // g
+
     def render(self) -> str:
+        a, b = self._epsilon_base()
         try:
-            epsilon = str(self.epsilon)
-        except ValueError:  # more digits than Python prints, so d < p - 2: print the power
-            epsilon = f"({Fraction(self.d_bound, self.field.p - 2)})^{self.repeats}"
+            epsilon = f"{a ** self.repeats}/{b ** self.repeats}" if b > 1 else "1"
+        except ValueError:  # more digits than Python prints: print the power
+            epsilon = f"({a}/{b})^{self.repeats}"
         lines = [
             f"proof {self.proof_name}",
             f"prime {self.field.p}",
@@ -234,18 +243,14 @@ def proof_degree_bound(script: ProofScript) -> int:
     return max(depths)
 
 
-def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, strict: bool = False):
+def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked):
     """The script replayed in the fingerprint algebra over the given ring;
     returns (records, fingerprints)."""
     fps: List[Fingerprint] = []
 
     def axiom(scheme, binding) -> Fingerprint:
         scheme.check_binding(binding)
-        fp = encode_fingerprint(scheme.template, alloc, ring, tracked, binding)
-        if strict and fp != axiom_fingerprint_via_template(scheme, binding, alloc, ring, tracked):
-            raise StrictCheckError(
-                f"step {len(fps) + 1}: template-derived axiom fingerprint disagrees")
-        return fp
+        return encode_fingerprint(scheme.template, alloc, ring, tracked, binding)
 
     replay(script, axiom,
            lambda hyp, imp: hom_mp(hyp, imp, alloc, ring),
@@ -255,21 +260,14 @@ def propagate(script: ProofScript, alloc: VarAllocation, ring, tracked, *, stric
     return records, fps
 
 
-def prove(script: ProofScript, assignment: Assignment, *, strict: bool = False) -> Transcript:
+def prove(script: ProofScript, assignment: Assignment) -> Transcript:
     """Single-run verification under an explicitly given assignment."""
     alloc, tracked = VarAllocation(script.signature), tracked_atoms(script)
-    run = _replay(script, alloc, assignment.ring(), tracked, strict)
+    run = _replay(script, alloc, assignment.ring(), tracked)
     return _transcript(script, assignment.field, assignment.provenance, [run], tracked)
 
 
-def verify(
-    script: ProofScript,
-    seed: bytes,
-    repeats: int,
-    field: PrimeField,
-    *,
-    strict: bool = False,
-) -> Transcript:
+def verify(script: ProofScript, seed: bytes, repeats: int, field: PrimeField) -> Transcript:
     """Seeded verification with independent repeats.
 
     Repeat r uses the sub-seed SHA-256(seed || r as 4 big-endian bytes),
@@ -284,22 +282,22 @@ def verify(
     for r in range(1, repeats + 1):
         sub_seed = hashlib.sha256(seed + r.to_bytes(4, "big")).digest()
         ring = Assignment.from_seed(sub_seed, field, alloc).ring()
-        runs.append(_replay(script, alloc, ring, tracked, strict))
+        runs.append(_replay(script, alloc, ring, tracked))
     return _transcript(script, field, f"seed {seed.hex()}", runs, tracked)
 
 
-def verify_symbolic(script: ProofScript, *, strict: bool = False) -> Run:
+def verify_symbolic(script: ProofScript) -> Run:
     """Exact verification: the propagated and direct polynomial matrices
     must be identical.  Failed exact divisions mean a malformed step and
     reject the script."""
     alloc = VarAllocation(script.signature)
     try:
-        return _replay(script, alloc, SymbolicRing(), script_atoms(script), strict)
+        return _replay(script, alloc, SymbolicRing(), script_atoms(script))
     except NotDivisible as exc:
         return Run([], None, None, failure=f"malformed step: {exc}")
 
 
-def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked, strict: bool) -> Run:
+def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked) -> Run:
     """Propagate the steps and encode the goal.
 
     Every variable is read from the ring as the replay reaches it, so an
@@ -307,7 +305,7 @@ def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked, strict: bo
     which names the variable as assignment files do.
     """
     try:
-        records, fps = propagate(script, alloc, ring, tracked, strict=strict)
+        records, fps = propagate(script, alloc, ring, tracked)
         alpha1 = encode(script.goal, alloc, ring)
     except MissingAssignment as exc:
         raise MissingAssignment(alloc.display(exc.var)) from None
@@ -315,14 +313,6 @@ def _replay(script: ProofScript, alloc: VarAllocation, ring, tracked, strict: bo
 
 
 def _transcript(script: ProofScript, field: PrimeField, provenance, runs, tracked) -> Transcript:
-    d = proof_degree_bound(script)
-    return Transcript(
-        proof_name=script.name,
-        field=field,
-        provenance=provenance,
-        repeats=len(runs),
-        d_bound=d,
-        epsilon=min(Fraction(1), Fraction(d, field.p - 2)) ** len(runs),  # d / (p - 2) per run
-        runs=runs,
-        tracked=tracked,
-    )
+    return Transcript(proof_name=script.name, field=field, provenance=provenance,
+                      repeats=len(runs), d_bound=proof_degree_bound(script), runs=runs,
+                      tracked=tracked)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from polyproof.encmat import EncMatrix
+from polyproof.fingerprint import encode_fingerprint, hom_subst
 from polyproof.logic import Formula, Signature, atom, imp, neg, parse_proof, step_formulas
 from polyproof.mpoly import MissingAssignment
 
@@ -41,8 +42,9 @@ def benchmark_layers():
     return _benchmark_module("layers")
 
 
-# -- reference oracles: the package never evaluates a polynomial or multiplies
-# elementary matrices, so the tests keep these to check it against.
+# -- reference oracles: the package never evaluates a polynomial, multiplies
+# elementary matrices or substitutes into an axiom's template, so the tests
+# keep these to check it against.
 
 def poly_eval(poly, assignment, field):
     """The polynomial's value at the point ``assignment`` ({var: FieldElem})."""
@@ -61,6 +63,18 @@ def poly_eval(poly, assignment, field):
 def matrix_eval(m: EncMatrix, assignment, field) -> EncMatrix:
     """A symbolic matrix evaluated entrywise at the point, as ints in [0, p)."""
     return EncMatrix(*(poly_eval(e, assignment, field).value for e in m))
+
+
+def axiom_fingerprint_via_template(scheme, binding, alloc, ring, tracked):
+    """An axiom's fingerprint from its template's: the template encoded over
+    its metavariables, then each binding, encoded over the tracked atoms,
+    substituted with hom_subst.  It must equal the package's template walk
+    with the binding."""
+    fp = encode_fingerprint(scheme.template, alloc, ring, scheme.metavars)
+    for mv in scheme.metavars:
+        repl = encode_fingerprint(binding[mv], alloc, ring, tracked)
+        fp = hom_subst(fp, mv, repl, alloc, ring)
+    return fp
 
 
 def poly_degree(poly) -> int:

@@ -14,11 +14,11 @@ Each run goes through ``cli.main`` in this process.  Proof texts are written
 to a temporary directory, whose path is replaced by ``$DIR`` in every
 argument and output.  ``tests/test_sweep.py`` checks the groups in ``SLICE``.
 
-``--verdicts`` runs each distinct proof of a group's verify runs (its file,
-``--strict`` and ``--tamper-step``; the run's mode and point options dropped)
-once with ``--mode field --seed`` the sweep's seed and once with ``--mode
-symbolic``.  It prints how many agree per group and each run whose two exit
-codes differ, and exits 1 if any differ.
+``--verdicts`` runs each distinct proof of a group's verify runs (its file
+and ``--tamper-step``; the run's mode and point options dropped) once with
+``--mode field --seed`` the sweep's seed and once with ``--mode symbolic``.
+It prints how many agree per group and each run whose two exit codes
+differ, and exits 1 if any differ.
 """
 
 from __future__ import annotations
@@ -73,11 +73,10 @@ def _fixture_runs(name: str):
     path = f"$DIR/{name}.proof"
     for tamper in [None, *range(1, steps + 2)]:  # steps + 1 is out of range
         for mode in MODES:
-            for strict in ([], ["--strict"]):
-                argv = ["verify", path, *mode, *strict]
-                if tamper is not None:
-                    argv += ["--tamper-step", str(tamper)]
-                yield {name: text}, argv
+            argv = ["verify", path, *mode]
+            if tamper is not None:
+                argv += ["--tamper-step", str(tamper)]
+            yield {name: text}, argv
 
 
 def _swap_runs():
@@ -85,8 +84,7 @@ def _swap_runs():
     texts = {f"{name}-{on}": atom_swap_text(name, on) for name in FIXTURES for on in (0, 1)}
     for stem, text in [*texts.items(), ("healed_swap", HEALED_SWAP)]:
         for mode in MODES:
-            for strict in ([], ["--strict"]):
-                yield {stem: text}, ["verify", f"$DIR/{stem}.proof", *mode, *strict]
+            yield {stem: text}, ["verify", f"$DIR/{stem}.proof", *mode]
 
 
 def _assign_runs():
@@ -99,9 +97,8 @@ def _assign_runs():
         lines = stdout.getvalue().splitlines(keepends=True)
         for drop in [None, *range(len(lines))]:
             point = "".join(line for k, line in enumerate(lines) if k != drop)
-            for strict in ([], ["--strict"]):
-                yield {name: proof, "point": point}, [
-                    "verify", f"$DIR/{name}.proof", "--assign", "$DIR/point.proof", *strict]
+            yield {name: proof, "point": point}, [
+                "verify", f"$DIR/{name}.proof", "--assign", "$DIR/point.proof"]
 
 
 def _usage_runs():
@@ -136,7 +133,7 @@ def _repeats_runs():
     for name in ("imp_refl", "subst_demo"):
         text = (PROOF_DIR / f"{name}.proof").read_text("utf-8")
         for extra in (["--repeats", "2"], ["--repeats", "200"],
-                      ["--repeats", "240", "--prime", "101"], ["--repeats", "3", "--strict"]):
+                      ["--repeats", "240", "--prime", "101"], ["--repeats", "3"]):
             yield {name: text}, ["verify", f"$DIR/{name}.proof", "--mode", "field",
                                  "--seed", SEED, *extra]
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyproof import protocol
 from polyproof.encmat import (
     EncMatrix,
     FieldRing,
@@ -17,7 +19,6 @@ from polyproof.ffield import PrimeField
 from polyproof.fingerprint import (
     UnallocatedSymbol,
     VarAllocation,
-    axiom_fingerprint_via_template,
     encode,
     encode_fingerprint,
     hom_mp,
@@ -25,6 +26,7 @@ from polyproof.fingerprint import (
 )
 from polyproof.logic import (
     AXIOM_SCHEMES,
+    AxiomStep,
     Formula,
     Signature,
     atom,
@@ -32,14 +34,20 @@ from polyproof.logic import (
     instantiate_axiom,
     neg,
     parse_formula,
+    parse_proof,
     subst_syntactic,
 )
 from polyproof.mpoly import MissingAssignment, MPoly, NotDivisible
 
 from .conftest import (
+    PROOF_DIR,
+    SEED1,
+    axiom_fingerprint_via_template,
+    benchmark_cases,
     degree_bound,
     elem,
     identity,
+    load_proof_text,
     matrix_eval,
     node_count,
     occurrences,
@@ -268,6 +276,40 @@ def test_axiom_template_route_matches_direct():
                 assert direct == via
                 vanished += "A" not in direct.helpers
         assert (vanished > 0) == (prime is not None)
+    # Every axiom step of the fixtures and of the benchmark's cases, walked as
+    # a run walks it: exactly over the script's atoms, and at a point mod 101
+    # and mod 2^61 - 1 over the atoms its subst steps replace.
+    schemes, steps = set(), 0
+    for name, script in _axiom_route_scripts():
+        alloc = VarAllocation(script.signature)
+        runs = [(SymbolicRing(), protocol.script_atoms(script))] + [
+            (protocol.Assignment.from_seed(SEED1, PrimeField(prime), alloc).ring(),
+             protocol.tracked_atoms(script)) for prime in (101, (1 << 61) - 1)]
+        for step in script.steps:
+            if not isinstance(step, AxiomStep):
+                continue
+            scheme = AXIOM_SCHEMES[step.scheme]
+            for ring, tracked in runs:
+                direct = encode_fingerprint(scheme.template, alloc, ring, tracked, step.binding)
+                via = axiom_fingerprint_via_template(scheme, step.binding, alloc, ring, tracked)
+                assert direct == via, (name, step)
+            schemes.add(step.scheme)
+            steps += 1
+    assert schemes == set(AXIOM_SCHEMES) and steps > 1000
+
+
+def _axiom_route_scripts():
+    """(name, script): the four fixtures, then every case of the benchmark's
+    steps, growth and exact workloads at seed 1 but the two the sweep skips
+    (dbl4, deep1200), which take seconds in symbolic mode."""
+    for name in ("contrapose_fn", "imp_refl", "subst_demo", "subst_step"):
+        yield name, parse_proof(load_proof_text(name))
+    cases = benchmark_cases()
+    manifest = json.loads((PROOF_DIR.parent / "perfbench" / "manifest.json").read_text())
+    for workload in ("steps", "growth", "exact"):
+        for case in cases.build(workload, manifest["workloads"][workload], 1, PROOF_DIR.parent):
+            if case.name.split("-")[1] not in ("dbl4", "deep1200"):
+                yield case.name, parse_proof(case.text)
 
 
 binding_formulas = st.recursive(
