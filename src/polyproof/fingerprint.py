@@ -35,9 +35,9 @@ both rings, with the ring's ``matrix`` and ``peel`` (see ``encmat``).
 for its coefficients: over the field (``encmat.FieldRing``) running path
 sums, O(1) per node on ints; over exact polynomials (``SymbolicRing``),
 where a running sum grows with the path and costs O(depth) per node, the
-closed form term by term: P(u) is a monomial, each node adds its terms to
-the entries' {monomial: coefficient} dicts, and no polynomials are multiplied.
-Every term it adds is positive, so each dict becomes an MPoly unfiltered.
+closed form term by term: P(u) is a packed monomial, each node adds its
+terms to the entries' {monomial: coefficient} dicts, and no polynomials are
+multiplied.  Every term is positive, so each dict is an MPoly unfiltered.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def encode_fingerprint(
     a, b, nodes = {}, {}, 0  # entries as {monomial: coefficient}; nodes entered
     leaves = {}  # tracked atom t: t-leaves entered so far
     ha, hb = {}, {}  # t: the a and b entries of t's helper
-    stack = [(f, (), None)]  # node, P(parent) as a monomial, edge variable into node
+    stack = [(f, 0, None)]  # node, P(parent) as a packed monomial, edge variable into node
     while stack:
         node, p, edge = stack.pop()
         if node is None:  # leaving the inner node u with P(u) = p; edge: counts on entry

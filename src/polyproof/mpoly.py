@@ -1,17 +1,21 @@
 """Exact sparse multivariate polynomials over unbounded integers.
 
-Variables are identified by non-negative integer ids.  A monomial is a
-tuple of (var, exponent) pairs sorted strictly ascending by var with all
-exponents >= 1; the empty tuple is the constant monomial.  A polynomial is
-a map from monomials to nonzero integer coefficients, so two values are
-equal exactly when their term maps are equal and the zero polynomial is
-the empty map.  ``MPoly(terms)`` drops zero coefficients.  The private
-``MPoly._of(terms)`` skips that filter and owns ``terms``, which must hold
-no zero: the constructors but ``const``, the ring operations (which drop a
-monomial as it cancels) and ``div_exact_by_var`` build through it.  Values
-are immutable, so they may be shared.  The module imports nothing from the
-package: the field replay computes on ints, so evaluating a polynomial at a
-point and its total degree are the tests' oracles (``tests/conftest.py``).
+Variables are non-negative integer ids.  A polynomial maps monomials to
+nonzero integer coefficients, so two values are equal exactly when their
+term maps are equal and zero is the empty map.  A monomial is one int, the
+exponent of variable v in bits [32v, 32v + 32): the constant monomial is 0
+and a product of monomials is their sum.  The top bit of each field is a
+guard: exponents stay below 2^31, so a sum never carries into the next
+field, and ``__mul__``, ``var``, ``parse`` and ``MPoly(terms)`` raise
+``MonomialOverflow`` past it.  ``times_var`` needs no check: the walk
+applies it along parsed formulas, shallower than their text is long.
+Outside the class a monomial is a tuple of (var, exponent) pairs, var
+ascending and exponents positive: ``MPoly(terms)`` packs it and drops zero
+coefficients; ``terms()``, ``single_monomial`` and ``render`` unpack it.
+Values are immutable, so they may be shared.  The module imports nothing
+from the package: the field replay computes on ints, so evaluating a
+polynomial at a point and its total degree are the tests' oracles
+(``tests/conftest.py``).
 
 Coefficients are Python ints on purpose: repeated sums in the matrix
 encoding grow entries without bound (one entry counts tree nodes), and a
@@ -33,13 +37,23 @@ variable name for id k is ``X<k>``, e.g. ``2*X3^2*X5 + X1 - 4``.
 from __future__ import annotations
 
 import re
+import struct
+from functools import lru_cache
 from typing import Mapping, Optional
 
 VarId = int
 
+_WIDTH = 32  # bits per exponent field; _unpack and _guards read a field as 4 bytes
+_GUARD = 1 << (_WIDTH - 1)  # exponents stay below the top bit of their field
+_VARS = 1 << 20  # variable ids stay below this: a monomial takes 4 bytes per id up to its largest
+
 
 class NotDivisible(ArithmeticError):
     """Exact division by a variable failed: some monomial lacks it."""
+
+
+class MonomialOverflow(OverflowError, ValueError):
+    """A monomial leaves the packed form: an exponent or a variable id is too large."""
 
 
 class MissingAssignment(ValueError):
@@ -54,14 +68,14 @@ class MPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Optional[dict] = None):
-        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._terms = {_pack(m): c for m, c in (terms or {}).items() if c != 0}
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _of(cls, terms: dict) -> "MPoly":
-        """The polynomial owning ``terms``, which must hold no zero coefficient."""
+        """The polynomial owning packed ``terms``, which must hold no zero coefficient."""
         poly = object.__new__(cls)
         poly._terms, poly._hash = terms, None
         return poly
@@ -72,17 +86,17 @@ class MPoly:
 
     @classmethod
     def one(cls) -> "MPoly":
-        return cls._of({(): 1})
+        return cls._of({0: 1})
 
     @classmethod
     def const(cls, c: int) -> "MPoly":
-        return cls({(): c})
+        return cls._of({0: c} if c else {})
 
     @classmethod
     def var(cls, v: VarId, exp: int = 1) -> "MPoly":
         if v < 0 or exp < 1:
             raise ValueError("variable ids are >= 0 and exponents >= 1")
-        return cls._of({((v, exp),): 1})
+        return cls._of({_pack(((v, exp),)): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -103,15 +117,18 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        terms: dict = {}
+        terms, high = {}, 0  # high: every bit set in some product
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = mono_mul(m1, m2)
+                mono = m1 + m2
+                high |= mono
                 s = terms.get(mono, 0) + c1 * c2
                 if s:
                     terms[mono] = s
                 else:
                     del terms[mono]
+        if high & _guards((high.bit_length() // _WIDTH).bit_length()):
+            raise MonomialOverflow("an exponent reached 2^31")
         return MPoly._of(terms)
 
     def __eq__(self, other):
@@ -132,30 +149,26 @@ class MPoly:
 
     # -- queries -----------------------------------------------------------
 
+    def terms(self) -> dict:
+        """The term map, monomials as (var, exponent) tuples."""
+        return {_unpack(m): c for m, c in self._terms.items()}
+
     def single_monomial(self):
-        """(monomial, coefficient) when the polynomial has one term, else None."""
+        """(monomial tuple, coefficient) when the polynomial has one term, else None."""
         if len(self._terms) != 1:
             return None
-        return next(iter(self._terms.items()))
+        return next((_unpack(m), c) for m, c in self._terms.items())
 
     # -- the operations the matrix layer builds on --------------------------
 
     def div_exact_by_var(self, v: VarId) -> "MPoly":
         """Quotient q with q * X_v == self; every monomial must contain X_v."""
+        field, unit = ((1 << _WIDTH) - 1) << _WIDTH * v, 1 << _WIDTH * v
         terms = {}
         for m, c in self._terms.items():
-            reduced = []
-            found = False
-            for var, e in m:
-                if var == v:
-                    found = True
-                    if e > 1:
-                        reduced.append((var, e - 1))
-                else:
-                    reduced.append((var, e))
-            if not found:
+            if not m & field:
                 raise NotDivisible(f"monomial lacks variable {v}")
-            terms[tuple(reduced)] = c
+            terms[m - unit] = c
         return MPoly._of(terms)
 
     # -- text form -----------------------------------------------------------
@@ -170,7 +183,7 @@ class MPoly:
             return f"X{v}"
 
         ordered = sorted(
-            self._terms.items(),
+            ((_unpack(m), c) for m, c in self._terms.items()),
             key=lambda item: (-sum(e for _, e in item[0]), item[0]),
         )
         out = []
@@ -220,37 +233,34 @@ class MPoly:
                 else:
                     raise ValueError(f"unknown variable name {name!r}")
                 exps[vid] = exps.get(vid, 0) + int(exp or 1)
-            mono = tuple(sorted((v, e) for v, e in exps.items() if e))
+            mono = _pack(exps.items())
             terms[mono] = terms.get(mono, 0) + coeff
-        return cls(terms)
+        return cls._of({m: c for m, c in terms.items() if c})
 
 
-def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    """The monomial m1 * m2, merged from the two sorted (var, exponent) tuples."""
-    if not (m1 and m2):
-        return m1 or m2
-    out, i, j, n1, n2 = [], 0, 0, len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, v2 = m1[i][0], m2[j][0]
-        if v1 < v2:
-            out.append(m1[i])
-            i += 1
-        elif v2 < v1:
-            out.append(m2[j])
-            j += 1
-        else:
-            out.append((v1, m1[i][1] + m2[j][1]))
-            i += 1
-            j += 1
-    return (*out, *m1[i:], *m2[j:])
+def times_var(mono: int, v: VarId) -> int:
+    """The packed monomial x_v * mono, unchecked (see the module docstring)."""
+    return mono + (1 << _WIDTH * v)
 
 
-def times_var(mono: tuple, v: VarId) -> tuple:
-    """The monomial x_v * mono."""
-    for i, (w, e) in enumerate(mono):
-        if w >= v:
-            return mono[:i] + ((v, e + 1 if w == v else 1),) + mono[i + (w == v):]
-    return mono + ((v, 1),)
+def _pack(mono) -> int:
+    """The packed monomial of (var, exponent) pairs with distinct vars."""
+    if any(e and not (0 <= v < _VARS and 0 < e < _GUARD) for v, e in mono):
+        raise MonomialOverflow("monomial out of range: exponents stay below 2^31 "
+                               "and variable ids below 2^20")
+    return sum(e << _WIDTH * v for v, e in mono)
+
+
+def _unpack(mono: int) -> tuple:
+    """The (var, exponent) pairs of a packed monomial, var ascending."""
+    raw = mono.to_bytes((mono.bit_length() // _WIDTH + 1) * 4, "little")
+    return tuple((v, e) for v, (e,) in enumerate(struct.iter_unpack("<I", raw)) if e)
+
+
+@lru_cache(maxsize=None)
+def _guards(k: int) -> int:
+    """The guard bits of the lowest 2^k exponent fields: one mask per size class."""
+    return int.from_bytes(b"\0\0\0\x80" * (1 << k), "little")
 
 
 # Each token is followed by one run of whitespace and never preceded by

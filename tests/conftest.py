@@ -50,7 +50,7 @@ def poly_eval(poly, assignment, field):
     """The polynomial's value at the point ``assignment`` ({var: FieldElem})."""
     p = field.p
     total = 0
-    for m, c in poly._terms.items():
+    for m, c in poly.terms().items():
         acc = c % p
         for v, e in m:
             if v not in assignment:
@@ -79,7 +79,7 @@ def axiom_fingerprint_via_template(scheme, binding, alloc, ring, tracked):
 
 def poly_degree(poly) -> int:
     """Total degree; -1 for the zero polynomial."""
-    return max((sum(e for _, e in m) for m in poly._terms), default=-1)
+    return max((sum(e for _, e in m) for m in poly.terms()), default=-1)
 
 
 def elem(v, ring) -> EncMatrix:

@@ -148,6 +148,39 @@ def _digit_limit_runs():
         "factor", "$DIR/matrix.proof"]
 
 
+def _product_matrix(names) -> str:
+    """The JSON matrix of A(names[0]) ... A(names[-1]), each name's A its elementary
+    matrix [[x, 1], [0, 1]]: a = x_1 ... x_n, b = 1 + x_1 + x_1 x_2 + ... + x_1 ... x_n-1."""
+    prefixes = ["*".join(names[:k]) or "1" for k in range(len(names) + 1)]
+    return json.dumps({"a": prefixes[-1], "b": " + ".join(prefixes[:-1]), "d": "1"})
+
+
+def _symbolic_text_runs():
+    """The exact kernel's text faces: factor on products and non-products, symbolic
+    encodings over many variables, a symbolic verdict naming a variable, and an
+    exponent of 2^31."""
+    names = [f"v{k}" for k in range(30)]
+    matrices = {
+        "distinct": _product_matrix(names),
+        "shuffled": _product_matrix(names[7:] + names[:7] + names[3:9]),
+        "power": json.dumps({"a": "X^1200", "b": " + ".join(
+            ["1", "X", *(f"X^{k}" for k in range(2, 1200))]), "d": "1"}),
+        "identity": json.dumps({"a": "1", "b": "0", "d": "1"}),
+        "zero_exponents": json.dumps({"a": "Y^0*X*Z^0*Y", "b": "1 + X*Y^0", "d": "Z^0"}),
+        "sum": json.dumps({"a": "X + Y", "b": "1", "d": "1"}),
+        "exponent_2_31": json.dumps({"a": "X^2147483648", "b": "1", "d": "1"}),
+    }
+    for stem, text in matrices.items():
+        yield {stem: text}, ["factor", f"$DIR/{stem}.proof"]
+    for formula in ("(h(a, b, c) -> k(a, b, c, d))",
+                    "!f(g(x, y, z, w), g(w, z, y, x), x, h(x, y, z))",
+                    "(p(q(a, b, c), b, c) -> !q(p(a, b, c), c, p(c, b, a)))"):
+        yield {}, ["encode", formula, "--symbolic"]
+    cases = benchmark_cases()
+    for stem, text in (("chain13", cases.chain_text(13)), ("chain3_bad5", cases.chain_text(3, bad=5))):
+        yield {stem: text}, ["verify", f"$DIR/{stem}.proof", "--mode", "symbolic"]
+
+
 GROUPS = {
     **{f"{w}-{s}": (lambda w=w, s=s: _workload_runs(w, s))
        for w in ("steps", "growth", "exact") for s in (1, 2)},
@@ -159,6 +192,7 @@ GROUPS = {
     "usage": _usage_runs,
     "repeats": _repeats_runs,
     "digit-limit": _digit_limit_runs,
+    "symbolic-text": _symbolic_text_runs,
 }
 
 

@@ -217,6 +217,15 @@ def test_factor_long_product(capsys, tmp_path):
     assert out.split() == ["X"] * 1200
 
 
+def test_factor_exponent_past_the_packed_field_is_malformed(capsys, tmp_path):
+    # Monomials hold exponents below 2^31: a larger one is malformed input.
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"a": "X^2147483648", "b": "1", "d": "1"}))
+    code, out, err = run(capsys, "factor", str(mat))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_factor_non_object_json_is_malformed(capsys, tmp_path):
     mat = tmp_path / "m.json"
     for payload in (5, "abd"):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from polyproof.ffield import PrimeField
 from polyproof.mpoly import MissingAssignment, MPoly, NotDivisible
-from polyproof.mpoly import mono_mul, times_var
+from polyproof.mpoly import MonomialOverflow, times_var
 
 from .conftest import poly_degree, poly_eval
 
@@ -219,7 +219,7 @@ operands = st.one_of(polys, single_terms, bare_vars, cancelled)
 
 @given(operands, operands)
 def test_kernel_matches_term_map_reference(a, b):
-    ta, tb = dict(a._terms), dict(b._terms)
+    ta, tb = a.terms(), b.terms()
     cases = {"a + b": (a + b, ref_add(ta, tb)), "a - b": (a - b, ref_add(ta, tb, -1)),
              "-a": (-a, ref_add({}, ta, -1)), "a * b": (a * b, ref_mul(ta, tb)),
              "b * a": (b * a, ref_mul(tb, ta)),
@@ -227,19 +227,72 @@ def test_kernel_matches_term_map_reference(a, b):
              "(a + b) * (a - b)": ((a + b) * (a - b),
                                    ref_mul(ref_add(ta, tb), ref_add(ta, tb, -1)))}
     for op, (r, want) in cases.items():
-        assert r._terms == want, op
-        assert 0 not in r._terms.values(), op
-    assert a._terms == ta and b._terms == tb  # the operands are unchanged
+        assert r.terms() == want, op
+        assert 0 not in r.terms().values(), op
+    assert a.terms() == ta and b.terms() == tb  # the operands are unchanged
 
 
 @given(polys, st.integers(0, 4), st.integers(0, 2))
 def test_cancelled_results_are_the_empty_map(a, v, k):
     r = (a - a, a * (MPoly.var(v) - MPoly.var(v)), (-a) + a)[k]
-    assert r._terms == {} and r == MPoly.zero() and not r
+    assert r.terms() == {} and r == MPoly.zero() and not r
 
 
 @given(monomials, monomials, st.integers(0, 5))
 def test_monomial_merge_matches_dict_and_sort(e1, e2, v):
     m1, m2 = tuple(sorted(e1.items())), tuple(sorted(e2.items()))
-    assert mono_mul(m1, m2) == ref_mono(m1, m2) == mono_mul(m2, m1)
-    assert times_var(m1, v) == ref_mono(m1, ((v, 1),))
+    p1, p2 = MPoly({m1: 1}), MPoly({m2: 1})
+    assert (p1 * p2).single_monomial()[0] == ref_mono(m1, m2) == (p2 * p1).single_monomial()[0]
+    x_v_m1 = MPoly._of({times_var(next(iter(p1._terms)), v): 1})
+    assert x_v_m1.single_monomial()[0] == ref_mono(m1, ((v, 1),))
+
+
+# -- the packed monomial's edges: 32-bit fields, exponents below 2^31 ----------
+
+MAX_EXP = 2**31 - 1
+wide_monomials = st.dictionaries(st.integers(0, 200), st.integers(1, MAX_EXP), max_size=4)
+
+
+@given(st.dictionaries(wide_monomials.map(lambda e: tuple(sorted(e.items()))),
+                       st.integers(-10**30, 10**30).filter(bool), max_size=5))
+def test_terms_round_trip_through_the_packed_form(t):
+    assert MPoly(t).terms() == t
+
+
+@given(st.integers(0, 6), st.lists(st.integers(1, MAX_EXP), min_size=4, max_size=4))
+def test_products_near_the_guard_carry_into_no_neighbour(v, exps):
+    # X_v^a X_v+1^b times X_v^c X_v+1^d, every exponent up to 2^31 - 1
+    a, b, c, d = exps
+    m1, m2 = ((v, a), (v + 1, b)), ((v, c), (v + 1, d))
+    if a + c > MAX_EXP or b + d > MAX_EXP:
+        with pytest.raises(MonomialOverflow):
+            MPoly({m1: 1}) * MPoly({m2: 1})
+    else:
+        assert (MPoly({m1: 1}) * MPoly({m2: 1})).terms() == {ref_mono(m1, m2): 1}
+
+
+def test_exponent_reaching_the_guard_raises():
+    assert (MPoly.var(0, MAX_EXP) * MPoly.var(1)).terms() == {((0, MAX_EXP), (1, 1)): 1}
+    assert MPoly.var(0, 2**30) * MPoly.var(0, 2**30 - 1) == MPoly.var(0, MAX_EXP)
+    with pytest.raises(MonomialOverflow):
+        MPoly.var(0, MAX_EXP) * MPoly.var(0)
+    with pytest.raises(MonomialOverflow):
+        MPoly.var(3, MAX_EXP + 1)
+    assert issubclass(MonomialOverflow, ArithmeticError)  # the CLI's exit 2
+
+
+def test_parse_rejects_what_the_packed_form_cannot_hold():
+    assert MPoly.parse(f"X1^{MAX_EXP}") == MPoly.var(1, MAX_EXP)
+    with pytest.raises(ValueError):
+        MPoly.parse("X1^2147483648")
+    with pytest.raises(ValueError):
+        MPoly.parse("X1^1073741824*X1^1073741824")
+    with pytest.raises(ValueError):
+        MPoly.parse("X" + "1" * 4000)
+
+
+def test_div_exact_reads_only_its_own_field():
+    # x_1 divides X1^(2^30) but not X0^MAX_EXP * X2^MAX_EXP, its neighbours at their largest
+    assert MPoly.var(1, 2**30).div_exact_by_var(1) == MPoly.var(1, 2**30 - 1)
+    with pytest.raises(NotDivisible):
+        (MPoly.var(0, MAX_EXP) * MPoly.var(2, MAX_EXP)).div_exact_by_var(1)

@@ -57,3 +57,26 @@ def test_trace_keeps_the_outcome_and_accounts_for_the_run(tmp_path, name, text, 
     assert layer["fingerprint.hom_mp_calls"] == mp_steps * replays
     subst_steps = sum(isinstance(step, SubstStep) for step in parse_proof(text).steps)
     assert layer["fingerprint.hom_subst_calls"] == subst_steps * replays
+
+
+# The exact kernel's work on the default-mode cases above: products, exact
+# divisions, failed divisions and the most terms in a product.  A change to the
+# monomial representation does the same products and divisions, and the trace
+# still sees each one.
+@pytest.mark.parametrize("name, text, counts", [
+    ("chain3_bad5", CASES.chain_text(3, bad=5), (22, 21, 1, 9)),
+    ("imp_refl", load_proof_text("imp_refl"), (8, 8, 0, 7)),
+    ("subst_demo", load_proof_text("subst_demo"), (16, 8, 0, 7)),
+])
+def test_trace_counts_the_exact_kernels_operations(tmp_path, name, text, counts):
+    path = tmp_path / f"{name}.proof"
+    path.write_text(text, encoding="utf-8")
+    tracer = benchmark_layers().Tracer()
+    tracer.install()
+    try:
+        _run(tracer.wrap_root(cli.main), ["verify", str(path), "--seed", "01"])
+    finally:
+        tracer.remove()
+    layer, _ = tracer.layer_metrics()
+    assert tuple(layer[f"mpoly.{key}"] for key in (
+        "mul_calls", "div_exact_calls", "not_divisible", "terms_max")) == counts
