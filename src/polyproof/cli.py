@@ -25,7 +25,7 @@ from .logic import (
     parse_formula,
     parse_proof,
 )
-from .mpoly import MissingAssignment, MPoly
+from .mpoly import MissingAssignment, MonomialOverflow, MPoly
 from .protocol import Assignment, prove, verify, verify_symbolic
 
 SYMBOLIC_SIZE_LIMIT = 10 * 1024  # above this, default verify mode drops to field-only
@@ -166,7 +166,12 @@ def cmd_verify(args) -> int:
 
     symbolic_report = None
     if mode in ("symbolic", "both"):
-        symbolic_report = verify_symbolic(script)
+        try:
+            symbolic_report = verify_symbolic(script)
+        except MonomialOverflow:
+            if args.mode is not None:
+                raise
+            mode = "field"  # past the symbolic budget the default mode checks in the field
 
     transcript = None
     if mode in ("field", "both"):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, List, Mapping, NamedTuple
 
 from .ffield import FieldElem, PrimeField, ZeroInverse
-from .mpoly import MPoly, MissingAssignment, NotDivisible, VarId
+from .mpoly import BUDGET_BITS, MPoly, MissingAssignment, NotDivisible, VarId
 
 
 class NotAProduct(Exception):
@@ -57,11 +57,13 @@ class EncMatrix(NamedTuple):
 
 class SymbolicRing:
     """Coefficients are exact integer polynomials.  Polynomials are immutable,
-    so a ring builds each x_v, 1 and 0 once and hands out the same value."""
+    so a ring builds each x_v, 1 and 0 once and hands out the same value.
+    One ring serves one run: ``room`` counts the packed bits its walks may still create."""
 
     def __init__(self):
         self._var = {}
         self._one, self._zero = MPoly.one(), MPoly.zero()
+        self.room = BUDGET_BITS
 
     def var(self, v: VarId) -> MPoly:
         x = self._var.get(v)

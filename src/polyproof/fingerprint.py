@@ -47,7 +47,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .encmat import EncMatrix, FieldRing, zero_matrix
 from .encmat import elem_inv_mul  # unused; the benchmark's trace counts calls through this name
 from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
-from .mpoly import MissingAssignment, MPoly, VarId, times_var
+from .mpoly import MissingAssignment, MonomialOverflow, MPoly, VarId, times_var
 
 
 class UnallocatedSymbol(Exception):
@@ -160,6 +160,7 @@ def encode_fingerprint(
     leaves = {}  # tracked atom t: t-leaves entered so far
     ha, hb = {}, {}  # t: the a and b entries of t's helper
     stack = [(f, 0, None)]  # node, P(parent) as a packed monomial, edge variable into node
+    room = ring.room  # bits of packed monomials the run may still create
     while stack:
         node, p, edge = stack.pop()
         if node is None:  # leaving the inner node u with P(u) = p; edge: counts on entry
@@ -176,7 +177,10 @@ def encode_fingerprint(
         node = binding.get(node.root, node)
         root, kids = node.root, node.children
         ids = slots.get(root) or alloc.vid(root)  # vid raises UnallocatedSymbol
-        vertex = times_var(p, ids[0])
+        vertex = times_var(p, ids[0])  # the node's wider monomial; P(u) is the other
+        room -= vertex.bit_length()
+        if room < 0:
+            raise MonomialOverflow("symbolic work budget exceeded: monomials pack past 2^28 bits")
         a[vertex] = a.get(vertex, 0) + 1
         if kids:
             stack.append((None, p, (nodes - 1, dict(leaves))))
@@ -188,6 +192,7 @@ def encode_fingerprint(
             leaves[root] = leaves.get(root, 0) + 1
             hat = ha.setdefault(root, {})
             hat[p] = hat.get(p, 0) + 1
+    ring.room = room
     return Fingerprint(EncMatrix(poly(a), poly(b), const(nodes)), Helpers(ring, (
         (t, EncMatrix(poly(ha[t]), poly(hb.get(t, {})), const(n))) for t, n in leaves.items()
     )))

@@ -9,6 +9,8 @@ guard: exponents stay below 2^31, so a sum never carries into the next
 field, and ``__mul__``, ``var``, ``parse`` and ``MPoly(terms)`` raise
 ``MonomialOverflow`` past it.  ``times_var`` needs no check: the walk
 applies it along parsed formulas, shallower than their text is long.
+A monomial takes 4 bytes per variable id up to its largest, so one
+``parse`` and one run's symbolic walks pack at most ``BUDGET_BITS`` bits.
 Outside the class a monomial is a tuple of (var, exponent) pairs, var
 ascending and exponents positive: ``MPoly(terms)`` packs it and drops zero
 coefficients; ``terms()``, ``single_monomial`` and ``render`` unpack it.
@@ -46,6 +48,7 @@ VarId = int
 _WIDTH = 32  # bits per exponent field; _unpack and _guards read a field as 4 bytes
 _GUARD = 1 << (_WIDTH - 1)  # exponents stay below the top bit of their field
 _VARS = 1 << 20  # variable ids stay below this: a monomial takes 4 bytes per id up to its largest
+BUDGET_BITS = 1 << 28  # bits of packed monomials one parse, or one run's symbolic walks, may create
 
 
 class NotDivisible(ArithmeticError):
@@ -53,7 +56,7 @@ class NotDivisible(ArithmeticError):
 
 
 class MonomialOverflow(OverflowError, ValueError):
-    """A monomial leaves the packed form: an exponent or a variable id is too large."""
+    """A monomial leaves the packed form, or one parse or run packs past ``BUDGET_BITS``."""
 
 
 class MissingAssignment(ValueError):
@@ -216,7 +219,7 @@ class MPoly:
         if whole is None or whole.end() < len(text):
             pos = whole.end() if whole else 0
             raise ValueError(f"malformed polynomial at offset {pos}: {text[pos:pos + 8]!r}")
-        terms: dict = {}
+        terms, room = {}, BUDGET_BITS
         for sign, body in _SIGNED_TERM.findall(text):
             coeff = -1 if sign == "-" else 1
             exps: dict = {}
@@ -234,6 +237,9 @@ class MPoly:
                     raise ValueError(f"unknown variable name {name!r}")
                 exps[vid] = exps.get(vid, 0) + int(exp or 1)
             mono = _pack(exps.items())
+            room -= mono.bit_length()
+            if room < 0:
+                raise MonomialOverflow("polynomial text packs past 2^28 bits of monomials")
             terms[mono] = terms.get(mono, 0) + coeff
         return cls._of({m: c for m, c in terms.items() if c})
 

@@ -226,6 +226,32 @@ def test_factor_exponent_past_the_packed_field_is_malformed(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_factor_past_the_packing_budget_is_malformed(capsys, tmp_path):
+    # Names take ids in order of first appearance and a packed monomial takes
+    # 32 bits per id up to its largest, so a sum of 4200 distinct names packs
+    # past the 2^28-bit budget of one parse and is refused there.
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"a": " + ".join(f"v{k}" for k in range(4200)), "b": "1", "d": "1"}))
+    code, out, err = run(capsys, "factor", str(mat))
+    assert (code, out) == (2, "")
+    assert err == "error: polynomial text packs past 2^28 bits of monomials\n"
+
+
+def test_symbolic_work_budget_exits_2_and_the_default_mode_checks_in_the_field(
+        capsys, monkeypatch):
+    # Past its budget of packed monomial bits a symbolic run stops with exit 2
+    # when a mode asks for it; the default mode then checks the proof in the
+    # field only, as it does a file of 10 KB or more.
+    monkeypatch.setattr("polyproof.encmat.BUDGET_BITS", 100)
+    for argv in (("--mode", "symbolic"), ("--mode", "both", "--seed", SEED_HEX)):
+        code, out, err = run(capsys, "verify", IMP_REFL, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: symbolic work budget exceeded") and err.count("\n") == 1
+    field = run(capsys, "verify", IMP_REFL, "--mode", "field", "--seed", SEED_HEX)
+    assert field[0] == 0
+    assert run(capsys, "verify", IMP_REFL, "--seed", SEED_HEX) == field
+
+
 def test_factor_non_object_json_is_malformed(capsys, tmp_path):
     mat = tmp_path / "m.json"
     for payload in (5, "abd"):

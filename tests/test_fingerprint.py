@@ -37,7 +37,7 @@ from polyproof.logic import (
     parse_proof,
     subst_syntactic,
 )
-from polyproof.mpoly import MissingAssignment, MPoly, NotDivisible
+from polyproof.mpoly import MissingAssignment, MonomialOverflow, MPoly, NotDivisible
 
 from .conftest import (
     PROOF_DIR,
@@ -733,3 +733,21 @@ def test_symbolic_walk_multiplies_no_polynomials(monkeypatch):
     assert fp == encode_fingerprint(imp(deep, imp(tree, deep)), alloc, RING, ("x", "y", "z"))
     assert fp.main.d == MPoly.const(2 + 2 * 5001 + 511)
     assert [fp.helpers[t].d for t in "xyz"] == [MPoly.const(n) for n in (130, 64, 64)]
+
+
+def test_symbolic_walks_charge_one_budget_per_ring():
+    # Each node charges its packed vertex monomial's bits (32 per field below
+    # its top variable, plus the top exponent's) to the ring's room, one
+    # budget over every walk of a run; a walk that overdraws it stops.
+    _, alloc = make_alloc()
+    f = imp(imp(atom("x"), neg(atom("y"))), neg(imp(atom("z"), atom("x"))))
+    ring = SymbolicRing()
+    start = ring.room
+    a = encode(f, alloc, ring).a
+    spent = sum(c * (32 * m[-1][0] + m[-1][1].bit_length()) for m, c in a.terms().items())
+    assert start - ring.room == spent > 0
+    encode(f, alloc, ring)
+    assert start - ring.room == 2 * spent
+    ring.room = spent - 1
+    with pytest.raises(MonomialOverflow, match="^symbolic work budget exceeded"):
+        encode(f, alloc, ring)
