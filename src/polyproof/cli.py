@@ -82,8 +82,6 @@ def cmd_encode(args) -> int:
     field_mode = args.assign is not None or args.seed is not None
     if args.prime is not None and not field_mode:
         raise ValueError("--prime sets the field of a point: add --seed or --assign")
-    if args.symbolic and field_mode:
-        raise ValueError("choose either --symbolic or a field assignment")
 
     if not field_mode:
         ring = SymbolicRing()
@@ -256,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser("encode", help="fingerprint a single formula")
+    enc = sub.add_parser("encode", help="fingerprint a formula: exact polynomials, or values"
+                                        " at the point of --seed or --assign")
     enc.add_argument("formula")
-    enc.add_argument("--symbolic", action="store_true", help="exact polynomial output")
     enc.add_argument("--prime", type=_ascii_int, default=None)
     enc.add_argument("--seed", help="hex seed, up to 32 bytes, left-padded")
     enc.add_argument("--assign", help="assignment file path")

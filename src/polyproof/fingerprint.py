@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .encmat import EncMatrix, FieldRing, zero_matrix
 from .encmat import elem_inv_mul  # unused; the benchmark's trace counts calls through this name
-from .logic import IMPLIES, METAVARIABLES, NOT, Formula, Signature
+from .logic import IMPLIES, NOT, Formula, Signature
 from .mpoly import MissingAssignment, MonomialOverflow, MPoly, VarId, times_var
 
 
@@ -63,8 +63,8 @@ class VarAllocation:
     The builtin connectives get fixed ids: the implication slots are 0, 1,
     2 and the negation slots are 3, 4.  Remaining signature symbols are
     sorted by name and take consecutive ids from 5, slot by slot.  The
-    axiom metavariables come last: no run reads them, only the tests'
-    template oracle, and keygen's assignment files keep them.
+    axiom metavariables get none: an axiom is walked with each of them read
+    as its binding, so no run evaluates one.
 
     Display names (used in assignment files and rendered polynomials)
     uppercase the symbol name where that stays unambiguous and fall back
@@ -97,8 +97,6 @@ class VarAllocation:
         for sym, arity in sig.symbols():
             base = pick_base(sym, arity)
             claim(sym, [base] + [f"{base}{k}" for k in range(1, arity + 1)])
-        for mv in METAVARIABLES:
-            claim(mv, [pick_base(mv, 0)])
 
     @property
     def size(self) -> int:

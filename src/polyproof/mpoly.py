@@ -14,10 +14,11 @@ A monomial takes 4 bytes per variable id up to its largest, so one
 Outside the class a monomial is a tuple of (var, exponent) pairs, var
 ascending and exponents positive: ``MPoly(terms)`` packs it and drops zero
 coefficients; ``terms()``, ``single_monomial`` and ``render`` unpack it.
-Values are immutable, so they may be shared.  The module imports nothing
-from the package: the field replay computes on ints, so evaluating a
-polynomial at a point and its total degree are the tests' oracles
-(``tests/conftest.py``).
+Values are immutable, so they may be shared; ``__hash__`` reads the terms
+on every call, since only the tests key dicts by polynomials.  The module
+imports nothing from the package: the field replay computes on ints, so
+evaluating a polynomial at a point and its total degree are the tests'
+oracles (``tests/conftest.py``).
 
 Coefficients are Python ints on purpose: repeated sums in the matrix
 encoding grow entries without bound (one entry counts tree nodes), and a
@@ -68,11 +69,10 @@ class MissingAssignment(ValueError):
 
 
 class MPoly:
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[dict] = None):
         self._terms = {_pack(m): c for m, c in (terms or {}).items() if c != 0}
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -80,7 +80,7 @@ class MPoly:
     def _of(cls, terms: dict) -> "MPoly":
         """The polynomial owning packed ``terms``, which must hold no zero coefficient."""
         poly = object.__new__(cls)
-        poly._terms, poly._hash = terms, None
+        poly._terms = terms
         return poly
 
     @classmethod
@@ -140,9 +140,7 @@ class MPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
         return bool(self._terms)

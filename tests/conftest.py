@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import random
 import sys
@@ -6,9 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from polyproof.encmat import EncMatrix
+from polyproof.encmat import EncMatrix, FieldRing
 from polyproof.fingerprint import encode_fingerprint, hom_subst
-from polyproof.logic import Formula, Signature, atom, imp, neg, parse_proof, step_formulas
+from polyproof.logic import (
+    METAVARIABLES, Formula, Signature, atom, imp, neg, parse_proof, step_formulas,
+)
 from polyproof.mpoly import MissingAssignment
 
 settings.register_profile("suite", deadline=None)
@@ -65,11 +68,28 @@ def matrix_eval(m: EncMatrix, assignment, field) -> EncMatrix:
     return EncMatrix(*(poly_eval(e, assignment, field).value for e in m))
 
 
+def with_metavariables(alloc):
+    """A copy of the allocation with one more slot per axiom metavariable,
+    which the package gives none (no run evaluates one), so that a test can
+    encode a formula with ``alpha``, ``beta`` or ``gamma`` leaves."""
+    alloc = copy.copy(alloc)
+    alloc.slots, alloc._display = dict(alloc.slots), list(alloc._display)
+    for mv in METAVARIABLES:
+        alloc.slots[mv] = (alloc.size,)
+        alloc._display.append(mv.upper())
+    return alloc
+
+
 def axiom_fingerprint_via_template(scheme, binding, alloc, ring, tracked):
     """An axiom's fingerprint from its template's: the template encoded over
     its metavariables, then each binding, encoded over the tracked atoms,
     substituted with hom_subst.  It must equal the package's template walk
-    with the binding."""
+    with the binding.  The metavariables get their own variables here; over
+    the field any value does, because hom_subst cancels x_mv exactly."""
+    alloc = with_metavariables(alloc)
+    if isinstance(ring, FieldRing):
+        ring = copy.copy(ring)
+        ring.values = {**ring.values, **{alloc.vid(mv): 1 for mv in METAVARIABLES}}
     fp = encode_fingerprint(scheme.template, alloc, ring, scheme.metavars)
     for mv in scheme.metavars:
         repl = encode_fingerprint(binding[mv], alloc, ring, tracked)

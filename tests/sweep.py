@@ -118,7 +118,7 @@ def _usage_runs():
 
 def _encode_runs():
     for formula in ENCODE_FORMULAS:
-        for extra in (["--symbolic"], ["--seed", SEED], ["--prime", "101", "--seed", "ff"]):
+        for extra in ([], ["--seed", SEED], ["--prime", "101", "--seed", "ff"]):
             yield {}, ["encode", formula, *extra]
 
 
@@ -175,7 +175,7 @@ def _symbolic_text_runs():
     for formula in ("(h(a, b, c) -> k(a, b, c, d))",
                     "!f(g(x, y, z, w), g(w, z, y, x), x, h(x, y, z))",
                     "(p(q(a, b, c), b, c) -> !q(p(a, b, c), c, p(c, b, a)))"):
-        yield {}, ["encode", formula, "--symbolic"]
+        yield {}, ["encode", formula]
     cases = benchmark_cases()
     for stem, text in (("chain13", cases.chain_text(13)), ("chain3_bad5", cases.chain_text(3, bad=5))):
         yield {stem: text}, ["verify", f"$DIR/{stem}.proof", "--mode", "symbolic"]

@@ -38,7 +38,7 @@ def run(capsys, *argv):
 
 
 def test_encode_symbolic_worked_example(capsys):
-    code, out, _ = run(capsys, "encode", "((x -> y) -> (x -> z))", "--symbolic")
+    code, out, _ = run(capsys, "encode", "((x -> y) -> (x -> z))")
     assert code == 0
     assert (
         "encoding A(I) + A(I1)A(I) + A(I1)^2A(X) + A(I1)A(I2)A(Y)"
@@ -73,9 +73,12 @@ def test_encode_syntax_error(capsys):
     assert "error" in err
 
 
-def test_encode_rejects_mixed_modes(capsys):
-    code, _, err = run(capsys, "encode", "x", "--symbolic", "--seed", "ff")
-    assert code == 2
+def test_encode_has_no_symbolic_flag(capsys):
+    # Without --seed or --assign, encode is already exact.
+    for extra in ([], ["--seed", "ff"]):
+        code, out, err = run(capsys, "encode", "x", "--symbolic", *extra)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --symbolic" in err
 
 
 def test_encode_assign_takes_no_seed(capsys, tmp_path):
@@ -328,20 +331,17 @@ def test_keygen_then_verify(capsys, tmp_path):
     assert "verdict=accept" in out
 
 
-def test_metavariable_values_needed_only_under_strict(capsys, tmp_path):
-    # keygen writes the metavariables' values, which no run reads: a file
-    # without them verifies exactly like the whole file.
+def test_keygen_writes_no_metavariables(capsys, tmp_path):
+    # No run evaluates an axiom metavariable, so keygen writes no value for
+    # one, and a file that names one is refused like any unknown name.
     point = tmp_path / "point.assign"
     run(capsys, "keygen", IMP_REFL, "--prime", "101", "--seed", "ab", "-o", str(point))
-    argv = ["verify", IMP_REFL, "--assign", str(point), "--mode", "field"]
-    code, whole, _ = run(capsys, *argv)
-    assert code == 0
-    assert "verdict=accept" in whole
     lines = point.read_text().splitlines()
-    kept = [ln for ln in lines if ln.split(" =")[0] not in ("ALPHA", "BETA", "GAMMA")]
-    assert len(kept) == len(lines) - 3
-    point.write_text("\n".join(kept) + "\n")
-    assert run(capsys, *argv) == (0, whole, "")
+    assert not [ln for ln in lines if ln.split(" =")[0] in ("ALPHA", "BETA", "GAMMA")]
+    point.write_text("\n".join(lines + ["ALPHA = 17"]) + "\n")
+    code, out, err = run(capsys, "verify", IMP_REFL, "--assign", str(point), "--mode", "field")
+    assert (code, out) == (2, "")
+    assert f"assignment line {len(lines) + 1}: unknown variable 'ALPHA'" in err
 
 
 def test_verify_assign_takes_no_seed_flags(capsys, tmp_path):
@@ -508,7 +508,7 @@ def test_encode_declares_function_symbols_at_their_first_use(capsys):
         code, out, err = run(capsys, "encode", "f(x, !y)", *flags)
         assert (code, err) == (0, "")
         assert out.startswith("formula f(x, !y)\n")
-    code, out, _ = run(capsys, "encode", "f(x, !y)", "--symbolic")
+    code, out, _ = run(capsys, "encode", "f(x, !y)")
     assert "encoding A(F) + A(F1)A(X) + A(F2)A(N) + A(F2)A(N1)A(Y)" in out
     assert run(capsys, "encode", "f(x, f(y))") == (
         2, "", "error: 'f' takes 2 arguments, got 1 (at position 5)\n")
@@ -569,7 +569,6 @@ def test_prime_needs_a_field_point(capsys):
     for argv in (
         ["verify", IMP_REFL, "--mode", "symbolic", "--prime", "101"],
         ["encode", "(x -> y)", "--prime", "101"],
-        ["encode", "(x -> y)", "--prime", "101", "--symbolic"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -666,7 +665,7 @@ def test_verify_fuzz_exits_by_contract(tmp_path_factory, text, flags):
 @settings(max_examples=100)
 @given(
     st.data(),
-    st.sampled_from((["--symbolic"], ["--seed", "01"], ["--seed", "01", "--prime", "3"])),
+    st.sampled_from(([], ["--seed", "01"], ["--seed", "01", "--prime", "3"])),
 )
 def test_encode_fuzz_exits_by_contract(data, flags):
     text = _edit(data.draw, data.draw(_fuzz_formula), data.draw(st.integers(0, 3)))

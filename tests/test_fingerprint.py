@@ -53,6 +53,7 @@ from .conftest import (
     occurrences,
     poly_degree,
     product_of,
+    with_metavariables,
 )
 
 RING = SymbolicRing()
@@ -68,12 +69,13 @@ formulas = st.recursive(
 
 
 def make_alloc(extra=()):
+    # with the metavariables' slots: the strategies below draw alpha, beta and gamma as atoms
     sig = Signature()
     for name in ("x", "y", "z"):
         sig.declare(name, 0)
     for name, arity in extra:
         sig.declare(name, arity)
-    return sig, VarAllocation(sig)
+    return sig, with_metavariables(VarAllocation(sig))
 
 
 def fp_of(f, alloc, ring=RING, tracked=("x", "y", "z")):
@@ -112,6 +114,21 @@ def test_allocation_unknown_symbol():
         alloc.vid("w")
     with pytest.raises(UnallocatedSymbol):
         encode(imp(atom("x"), atom("w")), alloc, RING)
+
+
+def test_metavariables_get_no_variables():
+    # An axiom's metavariables are read as their bindings, never evaluated, so
+    # the allocation holds the builtins' five slots and each declared symbol's
+    # arity + 1, and an unbound metavariable leaf is an unknown symbol in both rings.
+    for name in ("contrapose_fn", "imp_refl", "subst_demo", "subst_step"):
+        sig = parse_proof(load_proof_text(name)).signature
+        alloc = VarAllocation(sig)
+        assert alloc.size == 5 + sum(arity + 1 for _, arity in sig.symbols()), name
+        field_ring = protocol.Assignment.from_seed(SEED1, PrimeField(101), alloc).ring()
+        for mv in ("alpha", "beta", "gamma"):
+            for ring in (SymbolicRing(), field_ring):
+                with pytest.raises(UnallocatedSymbol):
+                    encode_fingerprint(imp(atom(mv), atom(mv)), alloc, ring, ())
 
 
 def test_encode_leaf():
